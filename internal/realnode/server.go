@@ -198,6 +198,16 @@ func (s *Server) appendLocked(entry logstore.Entry) (logstore.Ref, error) {
 	return s.log.Append(entry)
 }
 
+// Values cross the master with no copy of its own. Writes adopt the
+// request's decoded Key and Value as the log entry's: the handler owns
+// its request (transport.Handler), and over TCP those bytes are fresh
+// copies nothing else references (wire.Unmarshal). Reads put the log
+// entry's Value straight into the response, which the transport encodes
+// after s.mu is released. That aliasing is safe only because log entries
+// are immutable once appended and this master never runs the cleaner or
+// frees a segment. A cleaner, a segment free or durability work that
+// reuses log memory must first copy or pin any value a response may
+// still reference.
 func (s *Server) serveRead(m *wire.ReadReq) wire.Message {
 	keyHash := hashtable.HashKey(m.Table, m.Key)
 	s.mu.Lock()
@@ -219,7 +229,7 @@ func (s *Server) serveRead(m *wire.ReadReq) wire.Message {
 		Status:   wire.StatusOK,
 		Version:  e.Version,
 		ValueLen: e.ValueLen,
-		Value:    append([]byte(nil), e.Value...),
+		Value:    e.Value, // aliases the log; see above
 	}
 }
 
@@ -236,9 +246,9 @@ func (s *Server) serveWrite(m *wire.WriteReq) wire.Message {
 		Type:     logstore.EntryObject,
 		Table:    m.Table,
 		KeyHash:  keyHash,
-		Key:      append([]byte(nil), m.Key...),
+		Key:      m.Key,
 		ValueLen: m.ValueLen,
-		Value:    append([]byte(nil), m.Value...),
+		Value:    m.Value,
 		Version:  s.nextVersion,
 	}
 	ref, err := s.appendLocked(entry)
@@ -269,7 +279,7 @@ func (s *Server) serveDelete(m *wire.DeleteReq) wire.Message {
 		Type:          logstore.EntryTombstone,
 		Table:         m.Table,
 		KeyHash:       keyHash,
-		Key:           append([]byte(nil), m.Key...),
+		Key:           m.Key,
 		Version:       s.nextVersion,
 		ObjectSegment: oldRef.Segment,
 	}
@@ -309,7 +319,7 @@ func (s *Server) serveMultiRead(m *wire.MultiReadReq) wire.Message {
 			Status:   wire.StatusOK,
 			Version:  e.Version,
 			ValueLen: e.ValueLen,
-			Value:    append([]byte(nil), e.Value...),
+			Value:    e.Value, // aliases the log; see serveRead
 		}
 	}
 	return &wire.MultiReadResp{Status: wire.StatusOK, Items: items}
@@ -332,9 +342,9 @@ func (s *Server) serveMultiWrite(m *wire.MultiWriteReq) wire.Message {
 			Type:     logstore.EntryObject,
 			Table:    it.Table,
 			KeyHash:  keyHash,
-			Key:      append([]byte(nil), it.Key...),
+			Key:      it.Key,
 			ValueLen: it.ValueLen,
-			Value:    append([]byte(nil), it.Value...),
+			Value:    it.Value,
 			Version:  s.nextVersion,
 		}
 		ref, err := s.appendLocked(entry)

@@ -24,12 +24,6 @@ type TCP struct {
 	// FlushTimeout bounds one coalesced write; a peer that stalls a
 	// flush this long is treated as dead. Default 30s.
 	FlushTimeout time.Duration
-	// Workers bounds the per-listener dispatch pool. Default
-	// 8*GOMAXPROCS clamped to [8, 64]. When every worker is busy the
-	// reader goroutine serves overflow requests inline, so a request
-	// flood degrades into backpressure instead of a goroutine per
-	// request.
-	Workers int
 }
 
 func (t *TCP) dialTimeout() time.Duration {
@@ -60,10 +54,8 @@ func (t *TCP) flushTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-func (t *TCP) workers() int {
-	if t.Workers > 0 {
-		return t.Workers
-	}
+// dispatchWorkers sizes a listener's dispatch pool (see Listen).
+func dispatchWorkers() int {
 	n := 8 * runtime.GOMAXPROCS(0)
 	if n < 8 {
 		n = 8
@@ -311,27 +303,33 @@ func (c *tcpConn) Close() error {
 
 // Listen implements Interface: it binds addr (":0" allocates a port)
 // and services each accepted connection with one reader goroutine
-// feeding a listener-wide bounded worker pool. Responses are coalesced
-// per connection by connWriter, and the first write error tears the
-// connection down. Pings are answered inline on the reader goroutine
-// (they never block), and when every pool worker is busy the reader
-// serves overflow requests inline too — bounded backpressure instead
-// of a goroutine per request. A torn or hostile frame closes that
-// connection (log-and-drop); well-behaved peers redial.
+// feeding a listener-wide worker pool of 8*GOMAXPROCS goroutines,
+// clamped to [8, 64]. Responses are coalesced per connection by
+// connWriter, and the first write error tears the connection down.
+// Pings are answered inline on the reader goroutine (they never block),
+// and when every pool worker is busy the reader serves overflow
+// requests inline too, so a request flood degrades into backpressure
+// instead of a goroutine per request. A torn or hostile frame closes
+// that connection (log-and-drop); well-behaved peers redial.
+//
+// The handler owns each request message it is given, and every byte
+// the message references: the frame it was decoded from is recycled,
+// but wire.Unmarshal never aliases it.
 func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	workers := dispatchWorkers()
 	l := &tcpListener{
 		ln:    ln,
 		h:     h,
 		tr:    t,
 		conns: make(map[net.Conn]struct{}),
-		work:  make(chan srvReq, 4*t.workers()),
+		work:  make(chan srvReq, 4*workers),
 		done:  make(chan struct{}),
 	}
-	for i := 0; i < t.workers(); i++ {
+	for i := 0; i < workers; i++ {
 		go l.worker()
 	}
 	go l.acceptLoop()

@@ -36,6 +36,12 @@ var (
 // host:port for TCP, a node id for simnet). A nil response drops the
 // request without replying — the peer sees a timeout, exactly like a
 // lost datagram.
+//
+// ServeRPC owns the request message and every byte it references, and
+// may keep them past its return (a master stores a write's key and value
+// as they are). Over TCP the message is freshly decoded and nothing else
+// references it. Over simnet it is the caller's own message, so a caller
+// must not modify a request or its bytes once it has sent it.
 type Handler interface {
 	ServeRPC(remote string, msg wire.Message) wire.Message
 }

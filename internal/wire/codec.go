@@ -20,6 +20,16 @@ const segInfoSize = 8 + 4
 const segLocSize = 8 + 4 + 4
 const willPartSize = 8 + 8
 
+// Smallest encodings of the variable-size list items (empty key, value
+// and address), for decodeList's capacity bound.
+const (
+	multiReadItemMin     = 8 + 4     // table, key length
+	multiReadResultMin   = 1 + 8 + 4 // status, version, value length
+	multiWriteItemMin    = 8 + 4 + 4 // table, key length, value length
+	multiWriteResultSize = 1 + 8     // status, version
+	serverAddrMin        = 4 + 4     // id, address length
+)
+
 // encPool recycles encoder headers so the append-style encoding path
 // allocates nothing beyond the destination buffer's own growth. The
 // encoder escapes into the Message interface call, so without the pool
@@ -116,6 +126,23 @@ func decodeObject(d *decoder) Object {
 	return o
 }
 
+// decodeList decodes a count-prefixed list. The count comes off the
+// network, so the list is presized to at most the number of items of
+// minSize bytes the rest of the frame could hold: a hostile count cannot
+// drive an allocation larger than the frame itself. An empty list
+// decodes as nil.
+func decodeList[T any](d *decoder, minSize int, item func(*decoder) T) []T {
+	n := d.u32()
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	items := make([]T, 0, min(n, uint32((len(d.b)-d.off)/minSize)))
+	for i := uint32(0); i < n && d.err == nil; i++ {
+		items = append(items, item(d))
+	}
+	return items
+}
+
 // decPool recycles decoder headers across Unmarshal calls; every byte a
 // decoded message references is copied out of b, so the decoder itself
 // holds no state worth keeping.
@@ -125,8 +152,12 @@ var decPool = sync.Pool{New: func() any { return new(decoder) }}
 // be a valid envelope are rejected with typed errors (ErrTruncated,
 // ErrTooLarge, ErrBadLength, ErrUnknownOp) before any message-body
 // decoding, so a transport facing network bytes can log-and-drop
-// without allocating for hostile frames. The decoded message owns its
-// bytes: b may be reused immediately.
+// without allocating for hostile frames.
+//
+// Unmarshal never aliases b: every byte field of the decoded message is
+// a fresh copy that nothing else references, so b may be reused
+// immediately and the message's owner may keep its byte slices (a
+// master stores a request's key and value in its log as they are).
 func Unmarshal(b []byte) (Envelope, error) {
 	if len(b) < headerSize {
 		return Envelope{}, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(b), headerSize)
@@ -182,10 +213,7 @@ func unmarshalBody(d *decoder) (Envelope, error) {
 		msg = &GetTabletMapReq{}
 	case OpGetTabletMapResp:
 		m := &GetTabletMapResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Tablets = append(m.Tablets, decodeTablet(d))
-		}
+		m.Tablets = decodeList(d, tabletSize, decodeTablet)
 		msg = m
 	case OpEnlistReq:
 		msg = &EnlistReq{Node: d.i32(), MemoryBytes: d.i64(), HasBackup: d.b1()}
@@ -197,10 +225,9 @@ func unmarshalBody(d *decoder) (Envelope, error) {
 		msg = &PingResp{Seq: d.u64()}
 	case OpSetWillReq:
 		m := &SetWillReq{Master: d.i32()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Partitions = append(m.Partitions, WillPartition{FirstHash: d.u64(), LastHash: d.u64()})
-		}
+		m.Partitions = decodeList(d, willPartSize, func(d *decoder) WillPartition {
+			return WillPartition{FirstHash: d.u64(), LastHash: d.u64()}
+		})
 		msg = m
 	case OpSetWillResp:
 		msg = &SetWillResp{Status: Status(d.u8())}
@@ -210,10 +237,7 @@ func unmarshalBody(d *decoder) (Envelope, error) {
 		msg = &OpenSegmentResp{Status: Status(d.u8())}
 	case OpReplicateReq:
 		m := &ReplicateReq{Master: d.i32(), Segment: d.u64()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Objects = append(m.Objects, decodeObject(d))
-		}
+		m.Objects = decodeList(d, objectFixed, decodeObject)
 		msg = m
 	case OpReplicateResp:
 		msg = &ReplicateResp{Status: Status(d.u8())}
@@ -229,30 +253,22 @@ func unmarshalBody(d *decoder) (Envelope, error) {
 		msg = &SegmentInventoryReq{Master: d.i32()}
 	case OpSegmentInventoryResp:
 		m := &SegmentInventoryResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Segments = append(m.Segments, SegmentInfo{Segment: d.u64(), Bytes: d.u32()})
-		}
+		m.Segments = decodeList(d, segInfoSize, func(d *decoder) SegmentInfo {
+			return SegmentInfo{Segment: d.u64(), Bytes: d.u32()}
+		})
 		msg = m
 	case OpGetRecoveryDataReq:
 		msg = &GetRecoveryDataReq{Master: d.i32(), Segment: d.u64(), FirstHash: d.u64(), LastHash: d.u64()}
 	case OpGetRecoveryDataResp:
 		m := &GetRecoveryDataResp{Status: Status(d.u8()), SegmentBytes: d.u32()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Objects = append(m.Objects, decodeObject(d))
-		}
+		m.Objects = decodeList(d, objectFixed, decodeObject)
 		msg = m
 	case OpRecoverReq:
 		m := &RecoverReq{Crashed: d.i32(), FirstHash: d.u64(), LastHash: d.u64()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Tablets = append(m.Tablets, decodeTablet(d))
-		}
-		n = d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Segments = append(m.Segments, SegmentLoc{Segment: d.u64(), Backup: d.i32(), Bytes: d.u32()})
-		}
+		m.Tablets = decodeList(d, tabletSize, decodeTablet)
+		m.Segments = decodeList(d, segLocSize, func(d *decoder) SegmentLoc {
+			return SegmentLoc{Segment: d.u64(), Backup: d.i32(), Bytes: d.u32()}
+		})
 		msg = m
 	case OpRecoverResp:
 		msg = &RecoverResp{Status: Status(d.u8())}
@@ -262,46 +278,39 @@ func unmarshalBody(d *decoder) (Envelope, error) {
 		msg = &RecoveryDoneResp{Status: Status(d.u8())}
 	case OpRDMAWriteReq:
 		m := &RDMAWriteReq{Master: d.i32(), Segment: d.u64()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Objects = append(m.Objects, decodeObject(d))
-		}
+		m.Objects = decodeList(d, objectFixed, decodeObject)
 		msg = m
 	case OpRDMAWriteResp:
 		msg = &RDMAWriteResp{Status: Status(d.u8())}
 	case OpMultiReadReq:
 		m := &MultiReadReq{}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Items = append(m.Items, MultiReadItem{Table: d.u64(), Key: d.bytes()})
-		}
+		m.Items = decodeList(d, multiReadItemMin, func(d *decoder) MultiReadItem {
+			return MultiReadItem{Table: d.u64(), Key: d.bytes()}
+		})
 		msg = m
 	case OpMultiReadResp:
 		m := &MultiReadResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
+		m.Items = decodeList(d, multiReadResultMin, func(d *decoder) MultiReadResult {
 			it := MultiReadResult{Status: Status(d.u8()), Version: d.u64()}
 			it.Value = d.bytes()
 			it.ValueLen = uint32(len(it.Value))
-			m.Items = append(m.Items, it)
-		}
+			return it
+		})
 		msg = m
 	case OpMultiWriteReq:
 		m := &MultiWriteReq{}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
+		m.Items = decodeList(d, multiWriteItemMin, func(d *decoder) MultiWriteItem {
 			it := MultiWriteItem{Table: d.u64(), Key: d.bytes()}
 			it.Value = d.bytes()
 			it.ValueLen = uint32(len(it.Value))
-			m.Items = append(m.Items, it)
-		}
+			return it
+		})
 		msg = m
 	case OpMultiWriteResp:
 		m := &MultiWriteResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Items = append(m.Items, MultiWriteResult{Status: Status(d.u8()), Version: d.u64()})
-		}
+		m.Items = decodeList(d, multiWriteResultSize, func(d *decoder) MultiWriteResult {
+			return MultiWriteResult{Status: Status(d.u8()), Version: d.u64()}
+		})
 		msg = m
 	case OpMigrateTabletReq:
 		msg = &MigrateTabletReq{Table: d.u64(), FirstHash: d.u64(), LastHash: d.u64(), Dst: d.i32()}
@@ -309,10 +318,7 @@ func unmarshalBody(d *decoder) (Envelope, error) {
 		msg = &MigrateTabletResp{Status: Status(d.u8()), Moved: d.u32()}
 	case OpTakeTabletReq:
 		m := &TakeTabletReq{Table: d.u64(), FirstHash: d.u64(), LastHash: d.u64()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Objects = append(m.Objects, decodeObject(d))
-		}
+		m.Objects = decodeList(d, objectFixed, decodeObject)
 		msg = m
 	case OpTakeTabletResp:
 		msg = &TakeTabletResp{Status: Status(d.u8())}
@@ -324,17 +330,13 @@ func unmarshalBody(d *decoder) (Envelope, error) {
 		msg = &ServerListReq{}
 	case OpServerListResp:
 		m := &ServerListResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Servers = append(m.Servers, ServerAddr{ID: d.i32(), Addr: d.str()})
-		}
+		m.Servers = decodeList(d, serverAddrMin, func(d *decoder) ServerAddr {
+			return ServerAddr{ID: d.i32(), Addr: d.str()}
+		})
 		msg = m
 	case OpAssignTabletsReq:
 		m := &AssignTabletsReq{}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Tablets = append(m.Tablets, decodeTablet(d))
-		}
+		m.Tablets = decodeList(d, tabletSize, decodeTablet)
 		msg = m
 	case OpAssignTabletsResp:
 		msg = &AssignTabletsResp{Status: Status(d.u8())}

@@ -12,6 +12,9 @@ func FuzzDecode(f *testing.F) {
 			f.Add(b)
 		}
 	}
+	for _, b := range hugeCountFrames() {
+		f.Add(b)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{255, 1, 2, 3})

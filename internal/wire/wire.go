@@ -12,6 +12,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -627,16 +628,23 @@ func (d *decoder) u64() uint64 {
 func (d *decoder) i32() int32 { return int32(d.u32()) }
 func (d *decoder) i64() int64 { return int64(d.u64()) }
 
-func (d *decoder) bytes() []byte {
+// span returns the next length-prefixed field as a sub-slice of the
+// input. It aliases the input, so it must never escape into a decoded
+// message: bytes and str copy it out.
+func (d *decoder) span() []byte {
 	n := d.u32()
-	if d.err != nil || d.off+int(n) > len(d.b) {
+	if d.err != nil || n > uint32(len(d.b)-d.off) { // len(d.b) <= MaxEnvelopeSize
 		d.fail()
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, d.b[d.off:])
+	v := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
 	return v
 }
 
-func (d *decoder) str() string { return string(d.bytes()) }
+// bytes returns an owned copy of the next length-prefixed field. The
+// clone is the field's only copy (no zero-fill first), and a zero-length
+// field decodes as a non-nil empty slice.
+func (d *decoder) bytes() []byte { return bytes.Clone(d.span()) }
+
+func (d *decoder) str() string { return string(d.span()) }
