@@ -31,10 +31,8 @@ func main() {
 		seed  = flag.Int64("seed", 42, "simulation seed")
 		out   = flag.String("o", "", "write results to file instead of stdout")
 		j     = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent scenario simulations (1 = fully serial)")
-		lanes = flag.Int("lanes", 1, "event lanes per eligible scenario (sharded engine; output is lane-count invariant)")
 	)
 	flag.Parse()
-	core.SetLanes(*lanes)
 
 	if *list {
 		for _, e := range core.Experiments() {

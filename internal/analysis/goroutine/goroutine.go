@@ -5,9 +5,8 @@
 // proc on a resume channel and the event loop hands control to exactly
 // one runnable proc at a time, so simulated interleaving is a function
 // of the event heap, not of the OS scheduler. A raw go statement
-// bypasses that handoff — its writes race the engine, its timing varies
-// run to run, and any future conservative-lookahead sharding of the
-// engine (the PDES item on the roadmap) would be undermined silently.
+// bypasses that handoff: its writes race the engine and its timing
+// varies run to run.
 //
 // The two legitimate spawning sites — the engine scheduler itself and
 // the cross-scenario worker pool in core's Runner, both of which
@@ -39,11 +38,6 @@ func run(pass *framework.Pass) error {
 	for _, f := range pass.Files {
 		filename := pass.Fset.Position(f.Pos()).Filename
 		if scope.TestFile(filename) {
-			continue
-		}
-		// The sharded driver's lane workers are the one sanctioned use of
-		// OS goroutines inside the simulator (see scope.LaneScheduler).
-		if scope.LaneScheduler(pass.Pkg.Path(), filename) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

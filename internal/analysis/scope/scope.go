@@ -5,10 +5,7 @@
 // by design and are out of scope, as is the analysis tooling itself.
 package scope
 
-import (
-	"path"
-	"strings"
-)
+import "strings"
 
 const internalPrefix = "ramcloud/internal/"
 
@@ -38,8 +35,7 @@ func Deterministic(pkgPath string) bool {
 // singleThreaded lists the packages making up the discrete-event
 // simulator and the protocol logic running inside it. A bare go
 // statement there bypasses the engine's cooperative scheduler: the OS
-// decides interleaving, and determinism — plus any future conservative-
-// lookahead sharding of the engine — is lost. sim owns the scheduler
+// decides interleaving, and determinism is lost. sim owns the scheduler
 // and core owns the worker-pool runner; their spawning sites carry
 // //rcvet:allow goroutine justifications.
 var singleThreaded = map[string]bool{
@@ -66,22 +62,4 @@ func SingleThreaded(pkgPath string) bool {
 // and may measure wall clock, so the behavioural analyzers skip them.
 func TestFile(filename string) bool {
 	return strings.HasSuffix(filename, "_test.go")
-}
-
-// LaneScheduler reports whether filename is the sharded engine's driver
-// file, the one place in the simulation tree where bare go statements are
-// the mechanism rather than a bug: its persistent lane workers ARE the
-// parallel scheduler, synchronized by the window barrier so that no
-// simulated state is ever observed across lanes mid-window. Scoping the
-// exemption to exactly sim/sharded.go keeps it auditable here instead of
-// spraying //rcvet:allow across every worker loop, and keeps the rest of
-// sim (and every protocol package) under the bare-go ban.
-func LaneScheduler(pkgPath, filename string) bool {
-	return pkgPath == internalPrefix+"sim" && path.Base(filepathToSlash(filename)) == "sharded.go"
-}
-
-// filepathToSlash normalizes OS path separators so LaneScheduler can use
-// path.Base portably.
-func filepathToSlash(filename string) string {
-	return strings.ReplaceAll(filename, "\\", "/")
 }

@@ -44,45 +44,17 @@ type Cluster struct {
 	addrs []simnet.NodeID // server fabric addresses, by index
 	rf    int             // replication factor servers were built with
 
-	// sh is non-nil when the cluster runs on a sharded engine: servers
-	// are spread round-robin over lanes 1..L-1, clients over all lanes,
-	// and the coordinator (plus the fabric's default lane) stays on lane
-	// 0. Eng is then lane 0's engine.
-	sh *sim.Sharded
-
 	meter   *sim.Ticker
-	meterX  *sim.ExclusiveTicker
 	started bool
 }
 
 // NewCluster wires a cluster of n servers with the profile's hardware and
 // the given replication factor. Call Start before running workload procs.
 func NewCluster(eng *sim.Engine, p Profile, n int, replicationFactor int) *Cluster {
-	return buildCluster(eng, nil, p, n, replicationFactor)
-}
-
-// NewShardedCluster wires the same cluster on a sharded engine: server i
-// lives on lane 1 + i mod (L-1) — lane 0 is reserved for the coordinator
-// so ping fan-in never contends with a server's dispatch — and clients
-// are assigned round-robin across all lanes as they are created. With one
-// lane this is exactly NewCluster on sh.Lane(0).
-func NewShardedCluster(sh *sim.Sharded, p Profile, n int, replicationFactor int) *Cluster {
-	return buildCluster(sh.Lane(0), sh, p, n, replicationFactor)
-}
-
-// serverLane maps server index i to its home lane.
-func serverLane(sh *sim.Sharded, i int) int {
-	if sh == nil || sh.Lanes() == 1 {
-		return 0
-	}
-	return 1 + i%(sh.Lanes()-1)
-}
-
-func buildCluster(eng *sim.Engine, sh *sim.Sharded, p Profile, n int, replicationFactor int) *Cluster {
 	if n < 1 {
 		panic("core: cluster needs at least one server")
 	}
-	c := &Cluster{Profile: p, Eng: eng, sh: sh}
+	c := &Cluster{Profile: p, Eng: eng}
 	c.Net = simnet.New(eng, p.Net)
 	c.Coord = coordinator.New(eng, c.Net, CoordinatorAddr, p.Coordinator)
 
@@ -91,13 +63,9 @@ func buildCluster(eng *sim.Engine, sh *sim.Sharded, p Profile, n int, replicatio
 
 	var addrs []simnet.NodeID
 	for i := 0; i < n; i++ {
-		seng := eng
-		if sh != nil {
-			seng = sh.Lane(serverLane(sh, i))
-		}
-		node := machine.NewNode(seng, i+1, p.Machine)
-		disk := simdisk.New(seng, p.Disk)
-		srv := server.New(seng, node, c.Net, disk, CoordinatorAddr, srvCfg)
+		node := machine.NewNode(eng, i+1, p.Machine)
+		disk := simdisk.New(eng, p.Disk)
+		srv := server.New(eng, node, c.Net, disk, CoordinatorAddr, srvCfg)
 		c.Nodes = append(c.Nodes, node)
 		c.Disks = append(c.Disks, disk)
 		c.Servers = append(c.Servers, srv)
@@ -131,23 +99,13 @@ func (c *Cluster) Start() {
 	for _, s := range c.Servers {
 		s.Start()
 	}
-	meter := func(now sim.Time) {
+	c.meter = sim.NewTicker(c.Eng, sim.Second, func(now sim.Time) {
 		k := int(int64(now)/int64(sim.Second)) - 1
 		for i, node := range c.Nodes {
 			node.FlushAccounting(now)
 			c.PDUs[i].Sample(k)
 		}
-	}
-	if c.sh != nil && c.sh.Lanes() > 1 {
-		// The meter reads every node's accounting, so under a sharded
-		// engine it must run at an exclusive instant: all lanes parked,
-		// clocks aligned at the tick time. The tick at (k+1)s reads only
-		// bucket k, which no same-instant lane event can still touch, so
-		// exclusive-vs-lane ordering is unobservable in the samples.
-		c.meterX = c.sh.NewExclusiveTicker(sim.Second, meter)
-	} else {
-		c.meter = sim.NewTicker(c.Eng, sim.Second, meter)
-	}
+	})
 }
 
 // StopMetering halts the PDU ticker so the event queue can drain.
@@ -155,30 +113,14 @@ func (c *Cluster) StopMetering() {
 	if c.meter != nil {
 		c.meter.Stop()
 	}
-	if c.meterX != nil {
-		c.meterX.Stop()
-	}
 }
 
-// NewClient adds a client at the next client address. Under a sharded
-// engine clients are spread round-robin over all lanes: client think time
-// dominates eligible workloads, so distributing clients — not just
-// servers — is what buys the wall-clock speedup.
+// NewClient adds a client at the next client address.
 func (c *Cluster) NewClient() *client.Client {
-	idx := len(c.Clients)
-	addr := ClientAddrBase + simnet.NodeID(idx)
-	cl := client.New(c.clientEngine(idx), c.Net, addr, CoordinatorAddr, c.Profile.Client)
+	addr := ClientAddrBase + simnet.NodeID(len(c.Clients))
+	cl := client.New(c.Eng, c.Net, addr, CoordinatorAddr, c.Profile.Client)
 	c.Clients = append(c.Clients, cl)
 	return cl
-}
-
-// clientEngine returns client index i's home lane engine (the engine its
-// workload proc must run on).
-func (c *Cluster) clientEngine(i int) *sim.Engine {
-	if c.sh != nil {
-		return c.sh.Lane(i % c.sh.Lanes())
-	}
-	return c.Eng
 }
 
 // CreateTable creates a table spanning all servers (the paper's

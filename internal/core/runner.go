@@ -48,36 +48,6 @@ func SetParallelism(n int) int {
 	return int(defaultParallelism.Swap(int32(n)))
 }
 
-// Process-wide intra-scenario parallelism: the number of event lanes one
-// scenario's sharded engine may use (the -lanes flag; 1 = the classic
-// single-threaded engine). Unlike -j this is a pure execution knob, not a
-// scenario parameter: an eligible scenario renders byte-identically at
-// any lane count (CI diffs -lanes 1 vs 8 full captures), and scenarios
-// outside the eligible set run the exact legacy path regardless, so the
-// memo key deliberately does not cover it.
-var defaultLanes atomic.Int32
-
-// Lanes returns the process-wide intra-scenario lane count (>= 1).
-func Lanes() int {
-	if n := defaultLanes.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
-
-// SetLanes sets the process-wide intra-scenario lane count; n <= 1
-// restores the single-threaded engine. It returns the previous setting.
-func SetLanes(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	prev := int(defaultLanes.Swap(int32(n)))
-	if prev < 1 {
-		prev = 1
-	}
-	return prev
-}
-
 // Scenario memo with singleflight semantics. Several figures reuse the
 // same grid (e.g. fig1a/fig1b/fig2), so identical scenarios run once per
 // process; concurrent requests for an in-flight scenario share that run.

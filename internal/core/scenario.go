@@ -135,9 +135,6 @@ func Run(s Scenario) *Result {
 	if s.Profile.Machine.Cores == 0 {
 		s.Profile = DefaultProfile()
 	}
-	if lanes := effectiveLanes(&s); lanes > 1 {
-		return runSharded(s, lanes)
-	}
 	eng := sim.New(s.Seed)
 	cl := NewCluster(eng, s.Profile, s.Servers, s.RF)
 	cl.Start()
@@ -264,10 +261,7 @@ func Run(s Scenario) *Result {
 }
 
 // collectResults computes every measurement from the finished cluster into
-// res. It is shared verbatim by the serial and sharded run paths: both end
-// with the same cluster state, work window and final clock, so the
-// aggregation (and therefore the rendered output) cannot depend on which
-// path executed the events.
+// res, given the work window and the final clock of the run.
 func collectResults(s Scenario, cl *Cluster, res *Result, groups []ClientGroup, groupOf []int, totalClients int, workStart, workEnd, finalNow sim.Time) {
 	// Measurement window: whole seconds covered by the workload (power
 	// and CPU means are computed there, so an idle tail does not dilute

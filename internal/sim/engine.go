@@ -28,8 +28,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 )
 
 // event is one queue entry. When p is non-nil the event resumes that proc
@@ -68,25 +66,6 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// Lane identity under a Sharded driver. A standalone engine is lane 0
-	// of 1: seqStep 1 reproduces the classic seq++ numbering exactly. Lane
-	// i of n starts its sequence space at i and strides by n, so every
-	// (t, seq) pair is globally unique across lanes and a 1-lane sharded
-	// run allocates the identical sequence a standalone engine would.
-	laneID  int
-	seqStep uint64
-
-	// mailbox receives cross-lane events (other lanes' sends targeting
-	// this lane). Entries carry a keyed (t, seq) stamped by the sender,
-	// so merge order is a pure function of the simulation, not of mailbox
-	// append order. It is the only engine state touched from another
-	// goroutine; the driver drains it into the heap at window boundaries.
-	// mbLen mirrors len(mailbox) so the per-window drain can skip the
-	// lock when nothing arrived (the common case).
-	mbMu    sync.Mutex
-	mbLen   atomic.Int32
-	mailbox []event
-
 	// heap is a 4-ary min-heap of future events ordered by (t, seq).
 	heap []event
 	// nowQ is a FIFO ring of events scheduled for the current instant.
@@ -118,16 +97,11 @@ type Engine struct {
 // New returns an engine whose randomness is derived entirely from seed.
 func New(seed int64) *Engine {
 	return &Engine{
-		yield:   make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-		procs:   make(map[*Proc]struct{}),
-		seqStep: 1,
+		yield: make(chan struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
+		procs: make(map[*Proc]struct{}),
 	}
 }
-
-// LaneID returns this engine's lane index under a Sharded driver
-// (0 for a standalone engine).
-func (e *Engine) LaneID() int { return e.laneID }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -156,7 +130,7 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq += e.seqStep
+	e.seq++
 	if t == e.now {
 		e.nowQ = append(e.nowQ, event{t: t, seq: e.seq, fn: fn})
 		return
@@ -179,7 +153,7 @@ func (e *Engine) scheduleProcAt(t Time, p *Proc) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq += e.seqStep
+	e.seq++
 	if t == e.now {
 		e.nowQ = append(e.nowQ, event{t: t, seq: e.seq, p: p})
 		return
@@ -249,7 +223,7 @@ func (e *Engine) scheduleProcTimer(t Time, p *Proc) *timer {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq += e.seqStep
+	e.seq++
 	tm := &timer{t: t, seq: e.seq, p: p}
 	e.timerPush(tm)
 	return tm
@@ -439,18 +413,18 @@ func (e *Engine) RunUntil(horizon Time) {
 // retained but not executed.
 func (e *Engine) Stop() { e.stopped = true }
 
-// KeyedSeqBit marks an explicitly keyed sequence number (ScheduleKeyedAt,
-// CrossScheduleAt). Keyed events sort after every engine-drawn sequence at
-// the same instant — engine counters start near zero and can never reach
-// 2^63 — so the keyed space is disjoint from the lane counters by
-// construction.
+// KeyedSeqBit marks an explicitly keyed sequence number (ScheduleKeyedAt).
+// Keyed events sort after every engine-drawn sequence at the same instant
+// — the engine counter starts at zero and can never reach 2^63 — so the
+// keyed space is disjoint from the engine's by construction.
 const KeyedSeqBit = uint64(1) << 63
 
 // ScheduleKeyedAt schedules fn at a strictly future time t with an
 // explicit caller-owned sequence key. The fabric stamps every delivery
-// with a key derived from the sending *node* (not the sending lane), so
-// same-instant delivery order is identical at any lane count. seq must
-// have KeyedSeqBit set and (t, seq) must be globally unique.
+// with a key derived from the sending node, so same-instant deliveries
+// run in an order fixed by who sent them rather than by when the engine
+// happened to schedule them. seq must have KeyedSeqBit set and (t, seq)
+// must be unique.
 func (e *Engine) ScheduleKeyedAt(t Time, seq uint64, fn func()) {
 	if seq&KeyedSeqBit == 0 {
 		panic("sim: keyed sequence number missing KeyedSeqBit")
@@ -459,115 +433,6 @@ func (e *Engine) ScheduleKeyedAt(t Time, seq uint64, fn func()) {
 		panic(fmt.Sprintf("sim: keyed event at t=%v not beyond now=%v", t, e.now))
 	}
 	e.heapPush(event{t: t, seq: seq, fn: fn})
-}
-
-// CrossScheduleAt enqueues fn at (t, seq) into this lane's mailbox from
-// another lane. seq must be a keyed sequence number (see ScheduleKeyedAt)
-// and t must lie at or beyond the current synchronization window's end
-// (the conservative-lookahead contract: any cross-lane interaction is at
-// least one propagation delay in the future). The entry is merged into
-// the heap at the next window boundary; the keyed seq makes merge order a
-// pure function of the simulation, not of mailbox append order or lane
-// count.
-func (e *Engine) CrossScheduleAt(t Time, seq uint64, fn func()) {
-	if seq&KeyedSeqBit == 0 {
-		panic("sim: keyed sequence number missing KeyedSeqBit")
-	}
-	e.mbMu.Lock()
-	e.mailbox = append(e.mailbox, event{t: t, seq: seq, fn: fn})
-	e.mbLen.Store(int32(len(e.mailbox)))
-	e.mbMu.Unlock()
-}
-
-// drainMailbox merges pending cross-lane events into the heap. Called by
-// the sharded driver between windows, when no lane goroutine is running.
-func (e *Engine) drainMailbox() {
-	if e.mbLen.Load() == 0 {
-		return
-	}
-	e.mbMu.Lock()
-	for _, ev := range e.mailbox {
-		if ev.t < e.now {
-			panic(fmt.Sprintf("sim: cross-lane event at t=%v behind lane %d clock %v (lookahead violated)", ev.t, e.laneID, e.now))
-		}
-		e.heapPush(ev)
-	}
-	e.mailbox = e.mailbox[:0]
-	e.mbLen.Store(0)
-	e.mbMu.Unlock()
-}
-
-// peekTime returns the timestamp of this lane's earliest pending event,
-// or ok=false if the lane is idle. The ring, heap and timer minima are
-// compared on time alone: for window-extent computation the seq tiebreak
-// is irrelevant.
-func (e *Engine) peekTime() (Time, bool) {
-	var t Time
-	ok := false
-	if e.nowHead < len(e.nowQ) {
-		t, ok = e.nowQ[e.nowHead].t, true
-	}
-	if len(e.heap) > 0 && (!ok || e.heap[0].t < t) {
-		t, ok = e.heap[0].t, true
-	}
-	if len(e.timers) > 0 && (!ok || e.timers[0].t < t) {
-		t, ok = e.timers[0].t, true
-	}
-	return t, ok
-}
-
-// runWindow executes every event with t < end — strictly: the window end
-// belongs to the next window (or to an exclusive instant) — and leaves
-// the lane clock at end. It is the per-window body a lane worker runs
-// under the Sharded driver; the merge across ring, heap and timers is
-// identical to RunUntil's.
-func (e *Engine) runWindow(end Time) {
-	for !e.stopped {
-		var t Time
-		var seq uint64
-		src := 0 // 0: none, 1: ring, 2: heap, 3: timers
-		if e.nowHead < len(e.nowQ) {
-			t, seq, src = e.nowQ[e.nowHead].t, e.nowQ[e.nowHead].seq, 1
-		}
-		if len(e.heap) > 0 {
-			if h := &e.heap[0]; src == 0 || h.t < t || (h.t == t && h.seq < seq) {
-				t, seq, src = h.t, h.seq, 2
-			}
-		}
-		if len(e.timers) > 0 {
-			if tm := e.timers[0]; src == 0 || tm.t < t || (tm.t == t && tm.seq < seq) {
-				t, src = tm.t, 3
-			}
-		}
-		if src == 0 || t >= end {
-			break
-		}
-		var ev event
-		switch src {
-		case 1:
-			ev = e.nowPop()
-		case 2:
-			ev = e.heapPop()
-		case 3:
-			tm := e.timerPop()
-			ev = event{t: tm.t, seq: tm.seq, p: tm.p}
-		}
-		e.now = ev.t
-		e.eventsRun++
-		if ev.p != nil {
-			e.resumeProc(ev.p)
-		} else {
-			ev.fn()
-		}
-		if e.procPanic != nil {
-			p, name := e.procPanic, e.panicProc
-			e.procPanic = nil
-			panic(fmt.Sprintf("sim: panic in proc %q at t=%v: %v", name, e.now, p))
-		}
-	}
-	if !e.stopped && e.now < end {
-		e.now = end
-	}
 }
 
 // Shutdown kills every parked proc so its goroutine exits. It must be called

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -379,4 +380,71 @@ func TestFutureSetCancelsTimeoutTimer(t *testing.T) {
 		t.Fatalf("engine ran to the stale deadline: now=%v", e.Now())
 	}
 	e.Shutdown()
+}
+
+// mustPanic runs fn and returns its panic message, failing the test if
+// fn returns normally.
+func mustPanic(t *testing.T, fn func()) string {
+	t.Helper()
+	var msg string
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("expected panic")
+			}
+			msg = fmt.Sprint(r)
+		}()
+		fn()
+	}()
+	return msg
+}
+
+func TestScheduleKeyedAtRequiresKeyedBit(t *testing.T) {
+	e := New(1)
+	msg := mustPanic(t, func() { e.ScheduleKeyedAt(Time(Second), 7, func() {}) })
+	if !strings.Contains(msg, "KeyedSeqBit") {
+		t.Fatalf("panic = %q, want it to name KeyedSeqBit", msg)
+	}
+}
+
+func TestScheduleKeyedAtRejectsNowAndPast(t *testing.T) {
+	e := New(1)
+	var msgs []string
+	e.Schedule(Second, func() {
+		msgs = append(msgs,
+			mustPanic(t, func() { e.ScheduleKeyedAt(e.Now(), KeyedSeqBit|1, func() {}) }),
+			mustPanic(t, func() { e.ScheduleKeyedAt(e.Now()-1, KeyedSeqBit|2, func() {}) }))
+	})
+	e.Run()
+	if len(msgs) != 2 {
+		t.Fatalf("got %d panics, want 2", len(msgs))
+	}
+	for _, m := range msgs {
+		if !strings.Contains(m, "not beyond now") {
+			t.Fatalf("panic = %q, want a not-beyond-now message", m)
+		}
+	}
+}
+
+// TestKeyedEventsRunAfterEngineEvents: at one instant, keyed events run
+// after every engine-sequenced event — including ones scheduled earlier
+// in wall order and ones added to the current instant while it runs —
+// and among themselves in key order, not scheduling order.
+func TestKeyedEventsRunAfterEngineEvents(t *testing.T) {
+	e := New(1)
+	at := Time(Second)
+	var got []string
+	e.ScheduleKeyedAt(at, KeyedSeqBit|5, func() { got = append(got, "keyed5") })
+	e.ScheduleKeyedAt(at, KeyedSeqBit|2, func() { got = append(got, "keyed2") })
+	e.ScheduleAt(at, func() {
+		got = append(got, "engine1")
+		e.Schedule(0, func() { got = append(got, "engine-now") })
+	})
+	e.ScheduleAt(at, func() { got = append(got, "engine2") })
+	e.Run()
+	want := []string{"engine1", "engine2", "engine-now", "keyed2", "keyed5"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
 }

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ramcloud/internal/sim"
@@ -108,6 +110,56 @@ func TestDoubleAttachPanics(t *testing.T) {
 		}
 	}()
 	n.Attach(1, func(m Message) {})
+}
+
+// A zero propagation delay would let a small message's delivery land at
+// the send instant, which keyed delivery events cannot express; New must
+// reject it up front with a named cause instead of the first Send
+// panicking inside the engine.
+func TestNonPositivePropagationDelayPanics(t *testing.T) {
+	for _, d := range []sim.Duration{0, -sim.Microsecond} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("New accepted PropagationDelay %v", d)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "propagation delay") {
+					t.Fatalf("panic = %q, want it to name the propagation delay", msg)
+				}
+			}()
+			e := sim.New(1)
+			n := New(e, Config{PropagationDelay: d, Bandwidth: 2.3e9})
+			n.Attach(1, func(m Message) {})
+			n.Attach(2, func(m Message) {})
+			e.Schedule(0, func() { n.Send(Message{From: 1, To: 2, Size: 1}) })
+			e.Run()
+		}()
+	}
+}
+
+// TestSameInstantDeliveryInSenderOrder: messages that reach one node at
+// the same instant are delivered in sender-id order, not in the order
+// they were sent. Node 2 sends first, yet node 1's message arrives first.
+func TestSameInstantDeliveryInSenderOrder(t *testing.T) {
+	e := sim.New(1)
+	n := New(e, netCfg())
+	var from []NodeID
+	var at []sim.Time
+	n.Attach(1, func(m Message) {})
+	n.Attach(2, func(m Message) {})
+	n.Attach(3, func(m Message) { from = append(from, m.From); at = append(at, e.Now()) })
+	e.Schedule(0, func() {
+		n.Send(Message{From: 2, To: 3, Size: 1000})
+		n.Send(Message{From: 1, To: 3, Size: 1000})
+	})
+	e.Run()
+	if len(from) != 2 || at[0] != at[1] {
+		t.Fatalf("deliveries from %v at %v, want two at one instant", from, at)
+	}
+	if from[0] != 1 || from[1] != 2 {
+		t.Fatalf("delivery order by sender = %v, want [1 2]", from)
+	}
 }
 
 func TestByteAccounting(t *testing.T) {

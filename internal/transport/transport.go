@@ -1,14 +1,11 @@
 // Package transport abstracts the RPC substrate behind a dial/listen
-// interface carrying wire.Message values, with two backends:
-//
-//   - TCP (tcp.go): real sockets, goroutines and context deadlines.
-//     Frames are the self-framing wire.Envelope encoding (frame.go),
-//     responses are correlated to requests by RPC id so they may return
-//     out of order, connections are reused across calls and redialed
-//     with capped backoff after a failure.
-//   - simnet (sim.go): the existing simulated fabric adapted behind the
-//     same interface. Calls run on a sim.Proc carried in the context,
-//     so the deterministic figure path is untouched.
+// interface carrying wire.Message values. Its backend is TCP (tcp.go):
+// real sockets, goroutines and context deadlines. Frames are the
+// self-framing wire.Envelope encoding (frame.go), responses are
+// correlated to requests by RPC id so they may return out of order,
+// connections are reused across calls and redialed with capped backoff
+// after a failure. Interface is the seam wrappers (such as a counting
+// tap) plug into.
 //
 // The real backend legitimately uses bare goroutines, wall-clock time
 // and OS scheduling; rcvet's determinism analyzers exempt this package
@@ -32,16 +29,14 @@ var (
 	ErrConnLost = errors.New("transport: connection lost")
 )
 
-// Handler services one inbound request. remote identifies the peer (a
-// host:port for TCP, a node id for simnet). A nil response drops the
-// request without replying — the peer sees a timeout, exactly like a
-// lost datagram.
+// Handler services one inbound request. remote identifies the peer (its
+// host:port). A nil response drops the request without replying — the
+// peer sees a timeout, exactly like a lost datagram.
 //
 // ServeRPC owns the request message and every byte it references, and
 // may keep them past its return (a master stores a write's key and value
-// as they are). Over TCP the message is freshly decoded and nothing else
-// references it. Over simnet it is the caller's own message, so a caller
-// must not modify a request or its bytes once it has sent it.
+// as they are): the message is freshly decoded and nothing else
+// references it.
 type Handler interface {
 	ServeRPC(remote string, msg wire.Message) wire.Message
 }

@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
 # bench_snapshot.sh — automate the BENCH_N.json capture procedure from
 # PERFORMANCE.md: micro-benchmarks (median of -count runs), machine info,
-# and optionally the full-render wall clock at several -lanes / -j
-# settings. Emits one JSON document on stdout; everything else goes to
+# and optionally the full-render wall clock. Emits one JSON document on stdout; everything else goes to
 # stderr so `scripts/bench_snapshot.sh > /tmp/bench.json` just works.
 #
-# Usage: scripts/bench_snapshot.sh [-c count] [-r] [-l "1 8"] [-s scale]
+# Usage: scripts/bench_snapshot.sh [-c count] [-r] [-s scale]
 #   -c N        benchmark repetitions per package (default 3; medians kept)
 #   -r          also measure the full rcgold render wall clock
-#   -l "L..."   lane counts for the full render (default "1 8"; needs -r)
 #   -s scale    rcgold -scale for the full render (default 0.25)
 #
 # The "before" half of a snapshot comes from running this script on the
@@ -19,13 +17,11 @@ cd "$(dirname "$0")/.."
 
 COUNT=3
 RENDER=0
-LANES="1 8"
 SCALE=0.25
-while getopts "c:rl:s:" opt; do
+while getopts "c:rs:" opt; do
   case "$opt" in
     c) COUNT=$OPTARG ;;
     r) RENDER=1 ;;
-    l) LANES=$OPTARG ;;
     s) SCALE=$OPTARG ;;
     *) exit 2 ;;
   esac
@@ -91,18 +87,11 @@ if [ "$RENDER" = 1 ]; then
   note "building rcgold for the full-render measurement"
   GOLD=$(mktemp -d)
   go build -o "$GOLD/rcgold" ./cmd/rcgold
-  RENDER_JSON="{"
-  sep=""
-  for L in $LANES; do
-    note "full render: -scale $SCALE -seed 42 -lanes $L"
-    start=$(date +%s%N)
-    "$GOLD/rcgold" -scale "$SCALE" -seed 42 -lanes "$L" >/dev/null
-    end=$(date +%s%N)
-    secs=$(( (end - start) / 1000000 ))
-    RENDER_JSON="$RENDER_JSON$sep\n    \"lanes_$L\": {\"wall_ms\": $secs}"
-    sep=","
-  done
-  RENDER_JSON="$RENDER_JSON\n  }"
+  note "full render: -scale $SCALE -seed 42"
+  start=$(date +%s%N)
+  "$GOLD/rcgold" -scale "$SCALE" -seed 42 >/dev/null
+  end=$(date +%s%N)
+  RENDER_JSON="{\"wall_ms\": $(( (end - start) / 1000000 ))}"
   rm -rf "$GOLD"
 fi
 
@@ -110,7 +99,7 @@ CPU_MODEL=$(awk -F': ' '/model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null
 
 printf '{\n'
 printf '  "captured_with": "scripts/bench_snapshot.sh -c %s%s",\n' "$COUNT" \
-  "$([ "$RENDER" = 1 ] && printf ' %s' "-r -l \"$LANES\" -s $SCALE")"
+  "$([ "$RENDER" = 1 ] && printf ' %s' "-r -s $SCALE")"
 printf '  "machine": {\n'
 printf '    "goos": "%s",\n' "$(go env GOOS)"
 printf '    "goarch": "%s",\n' "$(go env GOARCH)"
