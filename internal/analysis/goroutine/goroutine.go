@@ -1,19 +1,17 @@
 // Package goroutine forbids bare go statements in the deterministic
 // simulation packages (sim, simnet, server, coordinator, client, core).
 //
-// The simulator is cooperatively scheduled: sim.Engine.Go parks each
-// proc on a resume channel and the event loop hands control to exactly
-// one runnable proc at a time, so simulated interleaving is a function
-// of the event heap, not of the OS scheduler. A raw go statement
-// bypasses that handoff: its writes race the engine and its timing
-// varies run to run.
+// The simulator is cooperatively scheduled: sim.Engine.Go makes each
+// proc a coroutine and the event loop switches to exactly one proc at a
+// time, so simulated interleaving is a function of the event heap, not
+// of the OS scheduler. A raw go statement bypasses that handoff: its
+// writes race the engine and its timing varies run to run.
 //
-// The two legitimate spawning sites — the engine scheduler itself and
-// the cross-scenario worker pool in core's Runner, both of which
-// synchronize before any simulated state is observed — carry
-// //rcvet:allow goroutine justifications. Anything new must either go
-// through sim.Engine.Go or document why OS-level concurrency cannot
-// perturb simulated time. Test files are exempt (race hammers drive the
+// The one legitimate spawning site — the cross-scenario worker pool in
+// core's Runner, which synchronizes before any simulated state is
+// observed — carries an //rcvet:allow goroutine justification. Anything
+// new must either go through sim.Engine.Go or document why OS-level
+// concurrency cannot perturb simulated time. Test files are exempt (race hammers drive the
 // pool from plain goroutines on purpose).
 package goroutine
 

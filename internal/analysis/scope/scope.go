@@ -35,9 +35,9 @@ func Deterministic(pkgPath string) bool {
 // singleThreaded lists the packages making up the discrete-event
 // simulator and the protocol logic running inside it. A bare go
 // statement there bypasses the engine's cooperative scheduler: the OS
-// decides interleaving, and determinism is lost. sim owns the scheduler
-// and core owns the worker-pool runner; their spawning sites carry
-// //rcvet:allow goroutine justifications.
+// decides interleaving, and determinism is lost. core's worker-pool
+// runner is the one spawning site; it carries an //rcvet:allow goroutine
+// justification.
 var singleThreaded = map[string]bool{
 	"sim":         true,
 	"simnet":      true,

@@ -55,39 +55,50 @@ func (e *Entry) StorageSize() int {
 	return entryHeaderBytes + len(e.Key) + int(e.ValueLen)
 }
 
-// ComputeChecksum returns the CRC-32C over the entry's logical content.
-// Virtual values contribute their declared length (the simulation cannot
-// hash bytes it does not materialize, but a length change still alters the
-// sum).
+// ComputeChecksum returns the CRC-32C over the entry's logical content:
+// the 33-byte little-endian header (type, table, key hash, version, value
+// length, key length), then the key, then the value bytes. Virtual values
+// contribute their declared length (the simulation cannot hash bytes it
+// does not materialize, but a length change still alters the sum).
+//
+// The header is folded in a word at a time from the fields themselves.
+// Staging it in a byte array for crc32.Update would cost an allocation per
+// checksum: crc32 reaches its hardware path through a function value, so
+// escape analysis moves any buffer passed to it to the heap.
 func (e *Entry) ComputeChecksum() uint32 {
-	h := crc32.New(castagnoli)
-	var hdr [33]byte
-	hdr[0] = byte(e.Type)
-	putU64(hdr[1:], e.Table)
-	putU64(hdr[9:], e.KeyHash)
-	putU64(hdr[17:], e.Version)
-	putU32(hdr[25:], e.ValueLen)
-	putU32(hdr[29:], uint32(len(e.Key)))
-	h.Write(hdr[:])
-	h.Write(e.Key)
-	if e.Value != nil {
-		h.Write(e.Value)
-	}
-	return h.Sum32()
+	crc := ^uint32(0)
+	crc = castagnoli[byte(crc)^byte(e.Type)] ^ crc>>8
+	crc = crcWord(crc, e.Table)
+	crc = crcWord(crc, e.KeyHash)
+	crc = crcWord(crc, e.Version)
+	crc = crcWord(crc, uint64(e.ValueLen)|uint64(len(e.Key))<<32)
+	crc = crc32.Update(^crc, castagnoli, e.Key)
+	return crc32.Update(crc, castagnoli, e.Value)
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+// slicing8[k][b] is the CRC-32C register contribution of byte b followed
+// by k zero bytes, the tables of the slicing-by-8 method.
+var slicing8 = func() (t [8][256]uint32) {
+	t[0] = *castagnoli
+	for i := range 256 {
+		c := t[0][i]
+		for k := 1; k < 8; k++ {
+			c = t[0][byte(c)] ^ c>>8
+			t[k][i] = c
+		}
 	}
-}
+	return t
+}()
 
-func putU32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+// crcWord folds the eight little-endian bytes of w into crc, a CRC-32C
+// register in its inverted (in-progress) form.
+func crcWord(crc uint32, w uint64) uint32 {
+	t := &slicing8
+	crc ^= uint32(w)
+	return t[7][byte(crc)] ^ t[6][byte(crc>>8)] ^ t[5][byte(crc>>16)] ^ t[4][crc>>24] ^
+		t[3][byte(w>>32)] ^ t[2][byte(w>>40)] ^ t[1][byte(w>>48)] ^ t[0][byte(w>>56)]
 }
 
 // Seal protects the entry with its checksum.

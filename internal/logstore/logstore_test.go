@@ -1,8 +1,10 @@
 package logstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
@@ -189,6 +191,52 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	e.Version = 4
 	if e.VerifyChecksum() {
 		t.Fatal("corrupted entry must not verify")
+	}
+}
+
+// TestChecksumPinned fixes the CRC-32C of three entries, so a change to
+// how the sum is computed cannot silently change what it covers.
+func TestChecksumPinned(t *testing.T) {
+	key := []byte("user0000000042")
+	cases := []struct {
+		name string
+		e    Entry
+		want uint32
+	}{
+		{"object with bytes", Entry{Type: EntryObject, Table: 7, KeyHash: 0x0123456789abcdef,
+			Key: key, ValueLen: 5, Value: []byte("hello"), Version: 9}, 0x16737f64},
+		{"virtual-value object", Entry{Type: EntryObject, Table: 7, KeyHash: 0x0123456789abcdef,
+			Key: key, ValueLen: 1024, Version: 10}, 0x6bf2c4e0},
+		{"tombstone", Entry{Type: EntryTombstone, Table: 7, KeyHash: 0x0123456789abcdef,
+			Key: key, Version: 11, ObjectSegment: 3}, 0x9b787bb9},
+	}
+	for _, c := range cases {
+		if got := c.e.ComputeChecksum(); got != c.want {
+			t.Errorf("%s: checksum = %#08x, want %#08x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestChecksumMatchesByteForm checks the word-wise header folding against
+// a plain CRC-32C of the header laid out as bytes, then key, then value.
+func TestChecksumMatchesByteForm(t *testing.T) {
+	f := func(typ uint8, table, keyHash, version uint64, valueLen uint32, key, value []byte, virtual bool) bool {
+		e := Entry{Type: EntryType(typ), Table: table, KeyHash: keyHash, Key: key,
+			ValueLen: valueLen, Value: value, Version: version}
+		if virtual {
+			e.Value = nil
+		}
+		b := []byte{typ}
+		b = binary.LittleEndian.AppendUint64(b, table)
+		b = binary.LittleEndian.AppendUint64(b, keyHash)
+		b = binary.LittleEndian.AppendUint64(b, version)
+		b = binary.LittleEndian.AppendUint32(b, valueLen)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+		b = append(append(b, key...), e.Value...)
+		return e.ComputeChecksum() == crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

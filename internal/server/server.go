@@ -182,7 +182,7 @@ func (s *Server) Kill() {
 	s.dead = true
 	s.node.Kill()
 	s.net.SetDown(s.ep.Node(), true)
-	// Wake parked procs with poison pills so their goroutines exit.
+	// Wake parked procs with poison pills so they exit.
 	for _, q := range s.workQs {
 		q.Push(rpc.Request{})
 	}

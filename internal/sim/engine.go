@@ -5,10 +5,13 @@
 //
 //   - Callback events scheduled with Schedule/ScheduleAt. They run on the
 //     engine goroutine and must never block.
-//   - Processes ("procs") spawned with Go. Each proc runs on its own
-//     goroutine but the engine enforces strict hand-off: exactly one
-//     goroutine (the engine or a single proc) is ever runnable, so the
-//     simulation is deterministic and free of data races by construction.
+//   - Processes ("procs") spawned with Go. Each proc is a coroutine
+//     (iter.Pull): the engine resumes it by switching straight onto its
+//     stack, and the proc switches straight back when it blocks. Control
+//     passes without the Go scheduler — no run queue, no wake-up of
+//     another thread — and exactly one of the engine or a single proc
+//     runs at any moment, so the simulation is deterministic and free of
+//     data races by construction.
 //
 // Procs block in simulated time using Sleep and the synchronization
 // primitives in this package (Queue, Mutex, Semaphore, Future, WaitGroup).
@@ -27,6 +30,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -81,13 +85,12 @@ type Engine struct {
 	// events exactly as if they shared a heap.
 	timers []*timer
 
-	yield   chan struct{}
 	rng     *rand.Rand
 	procs   map[*Proc]struct{}
 	stopped bool
 
-	// procPanic carries a panic out of a proc goroutine so it can be
-	// re-raised on the engine goroutine with context.
+	// procPanic carries a panic out of a proc so it can be re-raised by
+	// the run loop with context.
 	procPanic any
 	panicProc string
 
@@ -97,7 +100,6 @@ type Engine struct {
 // New returns an engine whose randomness is derived entirely from seed.
 func New(seed int64) *Engine {
 	return &Engine{
-		yield: make(chan struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 		procs: make(map[*Proc]struct{}),
 	}
@@ -345,8 +347,8 @@ func (e *Engine) nowPop() event {
 	return ev
 }
 
-// Run executes events until the queue is empty or Stop is called. It then
-// kills any procs that are still parked so their goroutines exit.
+// Run executes events until the queue is empty or Stop is called. Procs
+// still parked when it returns stay parked until Shutdown.
 func (e *Engine) Run() {
 	e.RunUntil(Time(1<<62 - 1))
 }
@@ -397,7 +399,7 @@ func (e *Engine) RunUntil(horizon Time) {
 		e.now = ev.t
 		e.eventsRun++
 		if ev.p != nil {
-			e.resumeProc(ev.p)
+			ev.p.next() // runs the proc until it parks or finishes
 		} else {
 			ev.fn()
 		}
@@ -435,16 +437,19 @@ func (e *Engine) ScheduleKeyedAt(t Time, seq uint64, fn func()) {
 	e.heapPush(event{t: t, seq: seq, fn: fn})
 }
 
-// Shutdown kills every parked proc so its goroutine exits. It must be called
-// from outside engine context (i.e. not from a callback or proc), typically
-// after Run returns. After Shutdown the engine must not be reused.
+// Shutdown kills every parked proc so its coroutine exits. It must be
+// called from outside engine context (i.e. not from a callback or proc),
+// typically after Run returns. After Shutdown the engine must not be reused.
+//
+// Shutdown removes each proc from the live set itself: stopping a proc
+// that was spawned but never resumed discards it without running its
+// body, so the body's own bookkeeping never runs.
 func (e *Engine) Shutdown() {
 	e.stopped = true
 	for p := range e.procs {
-		p.killed = true
+		delete(e.procs, p)
 		//rcvet:allow maporder host-side teardown after Run returns; procs die without running and no simulated event or rendered output can observe the kill order
-		p.resume <- struct{}{}
-		<-e.yield
+		p.stop()
 	}
 	e.procPanic = nil
 }
@@ -456,13 +461,15 @@ func (e *Engine) LiveProcs() int { return len(e.procs) }
 // killSentinel unwinds a killed proc's stack.
 type killSentinel struct{}
 
-// Proc is a simulated process. A Proc's methods must only be called from the
-// proc's own goroutine (i.e. inside the function passed to Go).
+// Proc is a simulated process, backed by a coroutine. A Proc's methods must
+// only be called from inside the function passed to Go, where the proc
+// runs while the run loop is suspended in its call to next.
 type Proc struct {
-	name   string
-	eng    *Engine
-	resume chan struct{}
-	killed bool
+	name  string
+	eng   *Engine
+	next  func() (struct{}, bool) // engine side: run the proc until it parks
+	yield func(struct{}) bool     // proc side: switch back to the engine
+	stop  func()                  // engine side: kill the proc (Shutdown)
 }
 
 // Name returns the name the proc was spawned with.
@@ -477,10 +484,9 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Go spawns a new proc that begins executing fn at the current simulated
 // time (after already-scheduled events at this time).
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{name: name, eng: e, resume: make(chan struct{})}
-	e.procs[p] = struct{}{}
-	//rcvet:allow goroutine this IS the cooperative scheduler: the goroutine parks on p.resume immediately and only ever runs while the engine blocks on e.yield, so exactly one goroutine is runnable at a time
-	go func() {
+	p := &Proc{name: name, eng: e}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); !ok {
@@ -489,30 +495,19 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 				}
 			}
 			delete(e.procs, p)
-			e.yield <- struct{}{}
 		}()
-		<-p.resume
-		if p.killed {
-			panic(killSentinel{})
-		}
 		fn(p)
-	}()
+	})
+	e.procs[p] = struct{}{}
 	e.scheduleProcAt(e.now, p)
 	return p
 }
 
-// resumeProc transfers control to p until it parks or finishes.
-func (e *Engine) resumeProc(p *Proc) {
-	p.resume <- struct{}{}
-	<-e.yield
-}
-
-// park yields control back to the engine until the proc is resumed.
+// park yields control back to the engine until the proc is resumed. The
+// switch reports false once Shutdown has stopped the proc; the sentinel
+// panic then unwinds its stack and Go's recover swallows it.
 func (p *Proc) park() {
-	e := p.eng
-	e.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
 }

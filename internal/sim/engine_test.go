@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -134,6 +136,36 @@ func TestShutdownReapsParkedProcs(t *testing.T) {
 	e.Shutdown()
 	if e.LiveProcs() != 0 {
 		t.Fatalf("LiveProcs = %d, want 0 after shutdown", e.LiveProcs())
+	}
+}
+
+// TestShutdownReapsNeverStartedProcs covers procs that were spawned but
+// never resumed: Stop before Run means their first wake-up never fires.
+// Shutdown must still drop them from the live set and release their
+// stacks, even though their bodies never run.
+func TestShutdownReapsNeverStartedProcs(t *testing.T) {
+	start := runtime.NumGoroutine()
+	e := New(1)
+	for i := 0; i < 3; i++ {
+		e.Go(fmt.Sprintf("sleeper-%d", i), func(p *Proc) {
+			p.Sleep(Second)
+			t.Error("proc should never run")
+		})
+	}
+	e.Stop()
+	e.Run()
+	e.Shutdown()
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d after Shutdown, want 0", n)
+	}
+	// An exiting goroutine may still be counted for a moment after the
+	// kill hand-off returns; wait for the count, bounded by a deadline.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("NumGoroutine = %d after Shutdown, want <= %d", n, start)
 	}
 }
 

@@ -3,6 +3,57 @@ package sim
 // This file provides blocking synchronization primitives for procs. All of
 // them wake waiters through the event queue, preserving determinism.
 
+// fifo is a slice-backed queue popped from a head index. Unlike s = s[1:],
+// popping keeps the backing array's capacity, so a steady producer and
+// consumer reuse one array instead of reallocating on every append. The
+// dead prefix is reclaimed when the queue drains, or compacted away on a
+// full append once it is at least half the slice.
+type fifo[T any] struct {
+	s    []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.s) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.s) == cap(f.s) && f.head > 0 && 2*f.head >= len(f.s) {
+		n := copy(f.s, f.s[f.head:])
+		clear(f.s[n:])
+		f.s = f.s[:n]
+		f.head = 0
+	}
+	f.s = append(f.s, v)
+}
+
+// popFront removes and returns the oldest element.
+func (f *fifo[T]) popFront() T {
+	var zero T
+	v := f.s[f.head]
+	f.s[f.head] = zero
+	f.head++
+	f.reset()
+	return v
+}
+
+// popBack removes and returns the newest element.
+func (f *fifo[T]) popBack() T {
+	var zero T
+	n := len(f.s) - 1
+	v := f.s[n]
+	f.s[n] = zero
+	f.s = f.s[:n]
+	f.reset()
+	return v
+}
+
+// reset rewinds an empty queue to the start of its backing array.
+func (f *fifo[T]) reset() {
+	if f.head == len(f.s) {
+		f.s = f.s[:0]
+		f.head = 0
+	}
+}
+
 // Queue is an unbounded FIFO queue that procs can block on. Pushing may be
 // done from callbacks or procs; popping only from procs.
 //
@@ -12,8 +63,8 @@ package sim
 // that finished most recently to keep its cache warm.
 type Queue[T any] struct {
 	eng      *Engine
-	items    []T
-	waiting  []*Proc
+	items    fifo[T]
+	waiting  fifo[*Proc]
 	wakeLIFO bool
 }
 
@@ -29,22 +80,20 @@ func NewLIFOWakeQueue[T any](e *Engine) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Waiters returns the number of procs blocked in Pop.
-func (q *Queue[T]) Waiters() int { return len(q.waiting) }
+func (q *Queue[T]) Waiters() int { return q.waiting.len() }
 
 // Push appends v and wakes one waiting proc, if any.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiting) > 0 {
+	q.items.push(v)
+	if q.waiting.len() > 0 {
 		var w *Proc
 		if q.wakeLIFO {
-			w = q.waiting[len(q.waiting)-1]
-			q.waiting = q.waiting[:len(q.waiting)-1]
+			w = q.waiting.popBack()
 		} else {
-			w = q.waiting[0]
-			q.waiting = q.waiting[1:]
+			w = q.waiting.popFront()
 		}
 		q.eng.scheduleProcAt(q.eng.now, w)
 	}
@@ -52,14 +101,11 @@ func (q *Queue[T]) Push(v T) {
 
 // TryPop removes and returns the head of the queue without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	return q.items.popFront(), true
 }
 
 // Pop removes and returns the head of the queue, blocking the proc until an
@@ -69,7 +115,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		q.waiting = append(q.waiting, p)
+		q.waiting.push(p)
 		p.park()
 	}
 }
@@ -79,7 +125,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 type Mutex struct {
 	eng     *Engine
 	locked  bool
-	waiting []*Proc
+	waiting fifo[*Proc]
 }
 
 // NewMutex returns an unlocked mutex bound to e.
@@ -89,7 +135,7 @@ func NewMutex(e *Engine) *Mutex { return &Mutex{eng: e} }
 func (m *Mutex) Locked() bool { return m.locked }
 
 // Waiters returns the number of procs blocked in Lock.
-func (m *Mutex) Waiters() int { return len(m.waiting) }
+func (m *Mutex) Waiters() int { return m.waiting.len() }
 
 // Lock acquires the mutex, blocking the proc until it is available.
 func (m *Mutex) Lock(p *Proc) {
@@ -97,7 +143,7 @@ func (m *Mutex) Lock(p *Proc) {
 		m.locked = true
 		return
 	}
-	m.waiting = append(m.waiting, p)
+	m.waiting.push(p)
 	p.park()
 	// Ownership was handed to us by Unlock; m.locked is still true.
 }
@@ -108,10 +154,8 @@ func (m *Mutex) Unlock() {
 	if !m.locked {
 		panic("sim: unlock of unlocked Mutex")
 	}
-	if len(m.waiting) > 0 {
-		w := m.waiting[0]
-		m.waiting = m.waiting[1:]
-		m.eng.scheduleProcAt(m.eng.now, w)
+	if m.waiting.len() > 0 {
+		m.eng.scheduleProcAt(m.eng.now, m.waiting.popFront())
 		return
 	}
 	m.locked = false
@@ -121,7 +165,7 @@ func (m *Mutex) Unlock() {
 type Semaphore struct {
 	eng     *Engine
 	avail   int
-	waiting []*Proc
+	waiting fifo[*Proc]
 }
 
 // NewSemaphore returns a semaphore with n available permits.
@@ -136,7 +180,7 @@ func NewSemaphore(e *Engine, n int) *Semaphore {
 func (s *Semaphore) Available() int { return s.avail }
 
 // Waiters returns the number of procs blocked in Acquire.
-func (s *Semaphore) Waiters() int { return len(s.waiting) }
+func (s *Semaphore) Waiters() int { return s.waiting.len() }
 
 // Acquire takes one permit, blocking until available.
 func (s *Semaphore) Acquire(p *Proc) {
@@ -144,17 +188,15 @@ func (s *Semaphore) Acquire(p *Proc) {
 		s.avail--
 		return
 	}
-	s.waiting = append(s.waiting, p)
+	s.waiting.push(p)
 	p.park()
 	// A released permit was handed directly to us.
 }
 
 // Release returns one permit, handing it to the next waiter if any.
 func (s *Semaphore) Release() {
-	if len(s.waiting) > 0 {
-		w := s.waiting[0]
-		s.waiting = s.waiting[1:]
-		s.eng.scheduleProcAt(s.eng.now, w)
+	if s.waiting.len() > 0 {
+		s.eng.scheduleProcAt(s.eng.now, s.waiting.popFront())
 		return
 	}
 	s.avail++

@@ -343,3 +343,63 @@ func TestLIFOWakeQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestProcHandoffAllocFree pins the steady-state wake-up path at zero
+// allocations: two procs ping-ponging through two queues reuse the queues'
+// backing arrays, the event ring and the heap, and the coroutine switch
+// itself allocates nothing.
+func TestProcHandoffAllocFree(t *testing.T) {
+	e := New(1)
+	q1, q2 := NewQueue[int](e), NewQueue[int](e)
+	e.Go("a", func(p *Proc) {
+		for i := 0; ; i++ {
+			q1.Push(i)
+			q2.Pop(p)
+			p.Sleep(Microsecond)
+		}
+	})
+	e.Go("b", func(p *Proc) {
+		for {
+			q2.Push(q1.Pop(p))
+		}
+	})
+	defer e.Shutdown()
+	allocs := testing.AllocsPerRun(20, func() {
+		e.RunUntil(e.Now().Add(100 * Microsecond))
+	})
+	if allocs != 0 {
+		t.Fatalf("handoff allocates %v per 100 round trips, want 0", allocs)
+	}
+}
+
+// TestQueueBacklogKeepsFIFO drives a queue that never drains through many
+// pushes, so its dead prefix is compacted rather than reclaimed on empty,
+// and checks that order survives and the backing array stays bounded.
+func TestQueueBacklogKeepsFIFO(t *testing.T) {
+	e := New(1)
+	q := NewQueue[int](e)
+	next := 0
+	for i := 0; i < 5; i++ {
+		q.Push(i)
+	}
+	for i := 5; i < 10_000; i++ {
+		q.Push(i)
+		v, ok := q.TryPop()
+		if !ok || v != next {
+			t.Fatalf("TryPop = %d, %v; want %d", v, ok, next)
+		}
+		next++
+	}
+	if q.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", q.Len())
+	}
+	if c := cap(q.items.s); c > 64 {
+		t.Fatalf("backing array grew to %d for a backlog of 5", c)
+	}
+	for q.Len() > 0 {
+		if v, _ := q.TryPop(); v != next {
+			t.Fatalf("TryPop = %d, want %d", v, next)
+		}
+		next++
+	}
+}

@@ -75,9 +75,21 @@ func ByName(name string, records, size int) (Workload, error) {
 	}
 }
 
-// Key renders the YCSB-style key for a record index.
+// Key renders the YCSB-style key for a record index: "user" followed by
+// the index zero-padded to ten digits, exactly as fmt's "user%010d". Bulk
+// load and every simulated request build a key, so the common case is
+// formatted by hand into one 14-byte allocation; negative indices and
+// indices wider than ten digits take the fmt form.
 func Key(i int) []byte {
-	return []byte(fmt.Sprintf("user%010d", i))
+	if i < 0 || uint64(i) > 9_999_999_999 {
+		return []byte(fmt.Sprintf("user%010d", i))
+	}
+	b := []byte("user0000000000")
+	for j := len(b) - 1; i > 0; j-- {
+		b[j] = byte('0' + i%10)
+		i /= 10
+	}
+	return b
 }
 
 // chooser picks record indices.

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -398,5 +399,20 @@ func TestOpenLoopRejectsUnboundedRun(t *testing.T) {
 func TestZetaPositive(t *testing.T) {
 	if zeta(100, 0.99) <= 0 {
 		t.Fatal("zeta must be positive")
+	}
+}
+
+// TestKeyMatchesSprintf checks the hand-formatted key against the fmt form
+// it replaces, at the padding and width edges and on a random sample.
+func TestKeyMatchesSprintf(t *testing.T) {
+	idx := []int{0, 9, 10, 9_999_999_999, 10_000_000_000, -1}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		idx = append(idx, rng.Intn(10_000_000_000))
+	}
+	for _, i := range idx {
+		if got, want := string(Key(i)), fmt.Sprintf("user%010d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
