@@ -131,12 +131,17 @@ func (c *Cluster) CreateTable(name string) uint64 {
 
 // BulkLoad fills a table with records of the given size in zero simulated
 // time, building the same log, hash-table and replica state a YCSB load
-// phase would. Replicas of sealed segments are marked flushed.
+// phase would. Replicas of sealed segments are marked flushed. The
+// records' keys are cut from one slab, one allocation for all of them;
+// each key is capped at its own length.
 func (c *Cluster) BulkLoad(table uint64, records, recordSize int) {
 	tablets := c.Coord.TabletMapDirect()
 	reg := c.Coord.Registry()
+	slab := make([]byte, 0, records*ycsb.KeyLen)
 	for i := 0; i < records; i++ {
-		key := ycsb.Key(i)
+		n := len(slab)
+		slab = ycsb.AppendKey(slab, i)
+		key := slab[n:len(slab):len(slab)]
 		keyHash := hashtable.HashKey(table, key)
 		var owner *server.Server
 		for j := range tablets {

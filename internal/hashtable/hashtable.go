@@ -80,8 +80,8 @@ func (t *Table) Lookup(hash uint64, eq EqualFunc) (uint64, bool) {
 	return 0, false
 }
 
-// Insert adds a new entry. It does not check for duplicates; use Replace
-// for read-modify-write of an existing key.
+// Insert adds a new entry. It does not check for duplicates; use Upsert
+// to write a key that may already be present.
 func (t *Table) Insert(hash uint64, ref uint64) {
 	if t.n >= len(t.buckets)*maxLoad {
 		t.grow()
@@ -92,20 +92,63 @@ func (t *Table) Insert(hash uint64, ref uint64) {
 
 func (t *Table) insertNoGrow(hash uint64, ref uint64) {
 	b := &t.buckets[hash&t.mask]
-	for {
-		if b.used != fullMask {
-			i := bits.TrailingZeros8(^b.used)
-			b.hashes[i] = hash
-			b.refs[i] = ref
-			b.used |= 1 << i
-			return
-		}
+	for b.used == fullMask {
 		if b.overflow == nil {
-			b.overflow = &bucket{}
-			t.overflowBuckets++
+			t.chain(b)
 		}
 		b = b.overflow
 	}
+	b.put(hash, ref)
+}
+
+// put stores (hash, ref) in the bucket's lowest free slot; the bucket must
+// not be full.
+func (b *bucket) put(hash, ref uint64) {
+	i := bits.TrailingZeros8(^b.used)
+	b.hashes[i] = hash
+	b.refs[i] = ref
+	b.used |= 1 << i
+}
+
+// chain links a fresh overflow bucket after tail, the last of its chain.
+func (t *Table) chain(tail *bucket) {
+	tail.overflow = &bucket{}
+	t.overflowBuckets++
+}
+
+// Upsert points the entry matching hash and eq at ref and returns the ref
+// it displaced, or inserts (hash, ref) when nothing matches. One walk of
+// the chain does both: it remembers the first bucket with a free slot,
+// which is where Insert would put the entry, so the table is left slot for
+// slot as Replace followed by Insert would leave it. Like Insert, a table
+// at its load limit grows before inserting.
+func (t *Table) Upsert(hash uint64, eq EqualFunc, ref uint64) (old uint64, replaced bool) {
+	var free, tail *bucket
+	for b := &t.buckets[hash&t.mask]; b != nil; b = b.overflow {
+		for m := b.used; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros8(m)
+			if b.hashes[i] == hash && (eq == nil || eq(b.refs[i])) {
+				old = b.refs[i]
+				b.refs[i] = ref
+				return old, true
+			}
+		}
+		if free == nil && b.used != fullMask {
+			free = b
+		}
+		tail = b
+	}
+	if t.n >= len(t.buckets)*maxLoad {
+		t.Insert(hash, ref)
+		return 0, false
+	}
+	if free == nil {
+		t.chain(tail)
+		free = tail.overflow
+	}
+	free.put(hash, ref)
+	t.n++
+	return 0, false
 }
 
 // Replace updates the ref of an existing entry (found by hash + eq) and

@@ -261,3 +261,92 @@ func TestQuickInsertThenFind(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUpsertMatchesReplaceInsert drives one table with Upsert and one with
+// Replace followed by Insert through the same random upserts and deletes,
+// and checks that they agree slot for slot. Keys come in threes that share
+// a full 64-bit hash, so only eq separates them; in some sequences every
+// hash also shares its low bits, so chains grow overflow buckets; and the
+// key space exceeds the starting directory's load limit, so upserts cross
+// grows.
+func TestUpsertMatchesReplaceInsert(t *testing.T) {
+	type slot struct{ hash, ref uint64 }
+	layout := func(ht *Table) []slot {
+		var out []slot
+		ht.ForEach(func(hash, ref uint64) { out = append(out, slot{hash, ref}) })
+		return out
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		keys := 1 + rng.Intn(1500)
+		shift := uint(rng.Intn(2) * 6) // 6: every hash lands in one starting bucket
+		hash := func(k uint64) uint64 { return (k/3*0x9E3779B97F4A7C15 | 1) << shift }
+		// A ref carries its key in the high half, so eq can tell keys apart.
+		eq := func(k uint64) EqualFunc { return func(r uint64) bool { return r>>32 == k } }
+		up, pair := New(0), New(0)
+		for op := uint64(1); op <= 3000; op++ {
+			k := uint64(rng.Intn(keys))
+			h := hash(k)
+			if rng.Intn(4) == 0 {
+				r1, ok1 := up.Delete(h, eq(k))
+				r2, ok2 := pair.Delete(h, eq(k))
+				if r1 != r2 || ok1 != ok2 {
+					t.Logf("seed %d op %d: delete %d,%v vs %d,%v", seed, op, r1, ok1, r2, ok2)
+					return false
+				}
+				continue
+			}
+			ref := k<<32 | op
+			old1, ok1 := up.Upsert(h, eq(k), ref)
+			old2, ok2 := pair.Replace(h, eq(k), ref)
+			if !ok2 {
+				pair.Insert(h, ref)
+			}
+			if old1 != old2 || ok1 != ok2 {
+				t.Logf("seed %d op %d: upsert %d,%v vs replace %d,%v", seed, op, old1, ok1, old2, ok2)
+				return false
+			}
+		}
+		if up.Len() != pair.Len() || up.OverflowBuckets() != pair.OverflowBuckets() ||
+			up.DirectorySize() != pair.DirectorySize() {
+			t.Logf("seed %d: len %d/%d overflow %d/%d dir %d/%d", seed, up.Len(), pair.Len(),
+				up.OverflowBuckets(), pair.OverflowBuckets(), up.DirectorySize(), pair.DirectorySize())
+			return false
+		}
+		for k := uint64(0); k < uint64(keys); k++ {
+			r1, ok1 := up.Lookup(hash(k), eq(k))
+			r2, ok2 := pair.Lookup(hash(k), eq(k))
+			if r1 != r2 || ok1 != ok2 {
+				t.Logf("seed %d: lookup of key %d: %d,%v vs %d,%v", seed, k, r1, ok1, r2, ok2)
+				return false
+			}
+		}
+		a, b := layout(up), layout(pair)
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Logf("seed %d: ForEach differs at %d: %v vs %v", seed, i, a[i], b[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestUpsert(t *testing.T) {
+	ht := New(0)
+	if old, ok := ht.Upsert(9, nil, 500); ok || old != 0 {
+		t.Fatalf("upsert of new key = %d, %v", old, ok)
+	}
+	if old, ok := ht.Upsert(9, nil, 600); !ok || old != 500 {
+		t.Fatalf("upsert of present key = %d, %v", old, ok)
+	}
+	if ref, _ := ht.Lookup(9, nil); ref != 600 || ht.Len() != 1 {
+		t.Fatalf("ref = %d, len = %d", ref, ht.Len())
+	}
+}

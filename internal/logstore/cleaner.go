@@ -74,8 +74,8 @@ func (l *Log) Clean(maxSegments int, isLive IsLiveFunc, relocated RelocatedFunc)
 		dying[v.id] = true
 	}
 	for _, v := range victims {
-		for i := range v.entries {
-			e := &v.entries[i]
+		for i := 0; i < v.n; i++ {
+			e := v.entry(i)
 			old := Ref{Segment: v.id, Index: i}
 			keep := false
 			isTomb := e.Type == EntryTombstone
@@ -126,13 +126,5 @@ func (l *Log) appendRelocating(e Entry) (Ref, error) {
 	if l.NeedsRoll(size) {
 		l.Roll()
 	}
-	e.Seal()
-	s := l.head
-	s.entries = append(s.entries, e)
-	s.accounted += size
-	s.live += size
-	l.totalAccounted += int64(size)
-	l.totalLive += int64(size)
-	l.appends++
-	return Ref{Segment: s.id, Index: len(s.entries) - 1}, nil
+	return l.place(&e, size), nil
 }

@@ -156,8 +156,11 @@ func TestCleanPreservesExactlyLiveSet(t *testing.T) {
 		if !ok {
 			continue
 		}
-		for i := range s.entries {
-			e := &s.entries[i]
+		for i := 0; i < s.Entries(); i++ {
+			e, err := s.EntryAt(i)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if e.Type != EntryObject {
 				continue
 			}
@@ -169,6 +172,36 @@ func TestCleanPreservesExactlyLiveSet(t *testing.T) {
 	}
 	if liveCount != len(m.refs) {
 		t.Fatalf("live entries in log = %d, model has %d", liveCount, len(m.refs))
+	}
+}
+
+// TestCleanAcrossChunks cleans segments whose entry index spans more than
+// two chunks, so the cleaner's walk and the relocations it appends cross
+// chunk boundaries in both the victims and the head.
+func TestCleanAcrossChunks(t *testing.T) {
+	e := obj("key000", 64, 1)
+	perSeg := 3*chunkEntries + chunkEntries/2
+	m := newModelStore(Config{SegmentBytes: perSeg * e.StorageSize(), TotalBytes: 1 << 24})
+	keys := 2 * perSeg
+	for round := 0; round < 3; round++ {
+		for k := 0; k < keys; k++ {
+			// Overwrite two keys in three on later rounds, so victims keep
+			// live entries scattered over all of their chunks.
+			if round == 0 || k%3 != 0 {
+				m.write(t, fmt.Sprintf("key%03d", k), uint64(round+1))
+			}
+		}
+	}
+	if n := m.log.Head().Entries(); m.log.SegmentCount() < 3 || n == 0 {
+		t.Fatalf("segments = %d, head entries = %d: want several multi-chunk segments", m.log.SegmentCount(), n)
+	}
+	stats := m.clean(t, m.log.SegmentCount())
+	if stats.SegmentsFreed < 2 || stats.EntriesRelocated <= chunkEntries {
+		t.Fatalf("stats = %+v: want several victims and more than a chunk relocated", stats)
+	}
+	m.verify(t)
+	if len(m.refs) != keys {
+		t.Fatalf("model holds %d keys, want %d", len(m.refs), keys)
 	}
 }
 

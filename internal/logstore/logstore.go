@@ -127,12 +127,24 @@ func UnpackRef(v uint64) Ref {
 	return Ref{Segment: v >> 24, Index: int(v & (1<<24 - 1))}
 }
 
+// chunkShift sizes the chunks a segment's entry index is built from:
+// 1<<chunkShift entries each, a power of two so an entry index splits into
+// chunk and slot with a shift and a mask. Appending adds a chunk when the
+// last one is full and never moves an entry already appended, so a
+// segment's index costs one allocation per chunk and no copying, and an
+// *Entry stays valid for the life of its segment.
+const (
+	chunkShift   = 7
+	chunkEntries = 1 << chunkShift
+)
+
 // Segment is one fixed-size piece of the log.
 type Segment struct {
 	id        uint64
-	entries   []Entry
-	accounted int // bytes appended (declared sizes)
-	live      int // bytes still live
+	chunks    []*[chunkEntries]Entry // entry i is chunks[i>>chunkShift][i%chunkEntries]
+	n         int                    // entries appended
+	accounted int                    // bytes appended (declared sizes)
+	live      int                    // bytes still live
 	sealed    bool
 	seq       uint64 // creation sequence, proxy for age in cost-benefit
 }
@@ -141,7 +153,7 @@ type Segment struct {
 func (s *Segment) ID() uint64 { return s.id }
 
 // Entries returns the number of records in the segment.
-func (s *Segment) Entries() int { return len(s.entries) }
+func (s *Segment) Entries() int { return s.n }
 
 // Accounted returns the bytes appended to this segment.
 func (s *Segment) Accounted() int { return s.accounted }
@@ -162,10 +174,26 @@ func (s *Segment) Utilization() float64 {
 
 // EntryAt returns the i-th entry.
 func (s *Segment) EntryAt(i int) (*Entry, error) {
-	if i < 0 || i >= len(s.entries) {
-		return nil, fmt.Errorf("%w: index %d of %d in segment %d", ErrBadRef, i, len(s.entries), s.id)
+	if i < 0 || i >= s.n {
+		return nil, fmt.Errorf("%w: index %d of %d in segment %d", ErrBadRef, i, s.n, s.id)
 	}
-	return &s.entries[i], nil
+	return s.entry(i), nil
+}
+
+// entry returns the i-th entry; i must be below s.n.
+func (s *Segment) entry(i int) *Entry {
+	return &s.chunks[i>>chunkShift][i&(chunkEntries-1)]
+}
+
+// push stores e as the segment's next entry and returns its index.
+func (s *Segment) push(e *Entry) int {
+	i := s.n
+	if i&(chunkEntries-1) == 0 {
+		s.chunks = append(s.chunks, new([chunkEntries]Entry))
+	}
+	*s.entry(i) = *e
+	s.n++
+	return i
 }
 
 // Config sets the log geometry.
@@ -200,8 +228,7 @@ type Log struct {
 	totalAccounted int64
 	totalLive      int64
 
-	appends   uint64
-	tombCount int
+	appends uint64
 }
 
 // NewLog returns an empty log. The first Append opens the first segment.
@@ -286,18 +313,21 @@ func (l *Log) Append(e Entry) (Ref, error) {
 	if e.Type == 0 {
 		return Ref{}, errors.New("logstore: entry type unset")
 	}
+	return l.place(&e, size), nil
+}
+
+// place seals e and stores it at the head, which has room for its size
+// bytes, and accounts it as live.
+func (l *Log) place(e *Entry, size int) Ref {
 	e.Seal()
 	s := l.head
-	s.entries = append(s.entries, e)
+	i := s.push(e)
 	s.accounted += size
 	s.live += size
 	l.totalAccounted += int64(size)
 	l.totalLive += int64(size)
 	l.appends++
-	if e.Type == EntryTombstone {
-		l.tombCount++
-	}
-	return Ref{Segment: s.id, Index: len(s.entries) - 1}, nil
+	return Ref{Segment: s.id, Index: i}
 }
 
 // Get returns the entry at ref.

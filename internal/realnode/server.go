@@ -71,7 +71,7 @@ func NewServer(tr transport.Interface, coordAddr string, cfg ServerConfig) *Serv
 		tr:        tr,
 		cfg:       cfg,
 		coordAddr: coordAddr,
-		ht:        hashtable.New(1 << 12),
+		ht:        hashtable.New(0),
 		log:       logstore.NewLog(logstore.DefaultConfig()),
 	}
 }
@@ -161,32 +161,18 @@ func (s *Server) ownsLocked(table, keyHash uint64) bool {
 	return false
 }
 
-// keyEq matches the hash-table candidate whose log entry carries exactly
-// (table, key). Caller holds s.mu.
-func (s *Server) keyEq(table uint64, key []byte) hashtable.EqualFunc {
-	return func(packed uint64) bool {
-		e, err := s.log.Get(logstore.UnpackRef(packed))
-		if err != nil {
-			return false
-		}
-		return e.Table == table && string(e.Key) == string(key)
-	}
-}
-
 // indexEntry mirrors the simulated master: update the index, mark the
 // displaced version dead. Caller holds s.mu.
 func (s *Server) indexEntry(entry logstore.Entry, ref logstore.Ref) {
-	eq := s.keyEq(entry.Table, entry.Key)
+	eq := s.log.KeyEq(entry.Table, entry.Key)
 	if entry.Type == logstore.EntryTombstone {
 		if old, ok := s.ht.Delete(entry.KeyHash, eq); ok {
 			_ = s.log.MarkDead(logstore.UnpackRef(old))
 		}
 		return
 	}
-	if old, ok := s.ht.Replace(entry.KeyHash, eq, ref.Packed()); ok {
+	if old, ok := s.ht.Upsert(entry.KeyHash, eq, ref.Packed()); ok {
 		_ = s.log.MarkDead(logstore.UnpackRef(old))
-	} else {
-		s.ht.Insert(entry.KeyHash, ref.Packed())
 	}
 }
 
@@ -216,12 +202,8 @@ func (s *Server) serveRead(m *wire.ReadReq) wire.Message {
 		s.wrongServer++
 		return &wire.ReadResp{Status: wire.StatusWrongServer}
 	}
-	packed, ok := s.ht.Lookup(keyHash, s.keyEq(m.Table, m.Key))
-	if !ok {
-		return &wire.ReadResp{Status: wire.StatusUnknownKey}
-	}
-	e, err := s.log.Get(logstore.UnpackRef(packed))
-	if err != nil || e.Type != logstore.EntryObject {
+	e, _, ok := s.log.Lookup(s.ht, m.Table, keyHash, m.Key)
+	if !ok || e.Type != logstore.EntryObject {
 		return &wire.ReadResp{Status: wire.StatusUnknownKey}
 	}
 	s.readsOK++
@@ -268,12 +250,10 @@ func (s *Server) serveDelete(m *wire.DeleteReq) wire.Message {
 		s.wrongServer++
 		return &wire.DeleteResp{Status: wire.StatusWrongServer}
 	}
-	eq := s.keyEq(m.Table, m.Key)
-	packed, ok := s.ht.Lookup(keyHash, eq)
+	_, oldRef, ok := s.log.Lookup(s.ht, m.Table, keyHash, m.Key)
 	if !ok {
 		return &wire.DeleteResp{Status: wire.StatusUnknownKey}
 	}
-	oldRef := logstore.UnpackRef(packed)
 	s.nextVersion++
 	tomb := logstore.Entry{
 		Type:          logstore.EntryTombstone,
@@ -304,13 +284,8 @@ func (s *Server) serveMultiRead(m *wire.MultiReadReq) wire.Message {
 			items[i].Status = wire.StatusWrongServer
 			continue
 		}
-		packed, ok := s.ht.Lookup(keyHash, s.keyEq(it.Table, it.Key))
-		if !ok {
-			items[i].Status = wire.StatusUnknownKey
-			continue
-		}
-		e, err := s.log.Get(logstore.UnpackRef(packed))
-		if err != nil || e.Type != logstore.EntryObject {
+		e, _, ok := s.log.Lookup(s.ht, it.Table, keyHash, it.Key)
+		if !ok || e.Type != logstore.EntryObject {
 			items[i].Status = wire.StatusUnknownKey
 			continue
 		}

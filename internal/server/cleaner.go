@@ -44,8 +44,8 @@ func (s *Server) cleanerLoop(p *sim.Proc) {
 func (s *Server) cleanOnce(p *sim.Proc) {
 	s.lockWithSpin(p, s.logMu)
 	isLive := func(ref logstore.Ref, e *logstore.Entry) bool {
-		cur, ok := s.ht.Lookup(e.KeyHash, s.keyEq(e.Table, e.Key))
-		return ok && logstore.UnpackRef(cur) == ref
+		_, cur, ok := s.log.Lookup(s.ht, e.Table, e.KeyHash, e.Key)
+		return ok && cur == ref
 	}
 	relocated := func(old, new logstore.Ref, e *logstore.Entry) {
 		if e.Type != logstore.EntryObject {

@@ -48,18 +48,6 @@ func (s *Server) ownsKey(table uint64, keyHash uint64) bool {
 	return false
 }
 
-// keyEq returns an equality callback that matches the hash-table candidate
-// whose log entry carries exactly (table, key).
-func (s *Server) keyEq(table uint64, key []byte) hashtable.EqualFunc {
-	return func(packed uint64) bool {
-		e, err := s.log.Get(logstore.UnpackRef(packed))
-		if err != nil {
-			return false
-		}
-		return e.Table == table && string(e.Key) == string(key)
-	}
-}
-
 func (s *Server) serveRead(p *sim.Proc, req rpc.Request, m *wire.ReadReq) {
 	keyHash := hashtable.HashKey(m.Table, m.Key)
 	if !s.ownsKey(m.Table, keyHash) {
@@ -72,13 +60,8 @@ func (s *Server) serveRead(p *sim.Proc, req rpc.Request, m *wire.ReadReq) {
 		return
 	}
 	s.busy(p, sim.Scale(s.cfg.Costs.Read, s.interference()))
-	packed, ok := s.ht.Lookup(keyHash, s.keyEq(m.Table, m.Key))
-	if !ok {
-		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusUnknownKey})
-		return
-	}
-	e, err := s.log.Get(logstore.UnpackRef(packed))
-	if err != nil || e.Type != logstore.EntryObject {
+	e, _, ok := s.log.Lookup(s.ht, m.Table, keyHash, m.Key)
+	if !ok || e.Type != logstore.EntryObject {
 		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusUnknownKey})
 		return
 	}
@@ -182,13 +165,8 @@ func (s *Server) serveMultiRead(p *sim.Proc, req rpc.Request, m *wire.MultiReadR
 			continue
 		}
 		it := &m.Items[i]
-		packed, ok := s.ht.Lookup(hashes[i], s.keyEq(it.Table, it.Key))
-		if !ok {
-			items[i].Status = wire.StatusUnknownKey
-			continue
-		}
-		e, err := s.log.Get(logstore.UnpackRef(packed))
-		if err != nil || e.Type != logstore.EntryObject {
+		e, _, ok := s.log.Lookup(s.ht, it.Table, hashes[i], it.Key)
+		if !ok || e.Type != logstore.EntryObject {
 			items[i].Status = wire.StatusUnknownKey
 			continue
 		}
@@ -338,17 +316,15 @@ func (s *Server) appendLocked(p *sim.Proc, entry logstore.Entry, forceVersion ui
 // indexEntry updates the hash table for a freshly appended entry and marks
 // any previous version dead.
 func (s *Server) indexEntry(entry logstore.Entry, ref logstore.Ref) {
-	eq := s.keyEq(entry.Table, entry.Key)
+	eq := s.log.KeyEq(entry.Table, entry.Key)
 	if entry.Type == logstore.EntryTombstone {
 		if old, ok := s.ht.Delete(entry.KeyHash, eq); ok {
 			_ = s.log.MarkDead(logstore.UnpackRef(old))
 		}
 		return
 	}
-	if old, ok := s.ht.Replace(entry.KeyHash, eq, ref.Packed()); ok {
+	if old, ok := s.ht.Upsert(entry.KeyHash, eq, ref.Packed()); ok {
 		_ = s.log.MarkDead(logstore.UnpackRef(old))
-	} else {
-		s.ht.Insert(entry.KeyHash, ref.Packed())
 	}
 }
 
@@ -363,13 +339,11 @@ func (s *Server) deleteLocked(p *sim.Proc, table, keyHash uint64, key []byte) (u
 		s.logMu.Unlock()
 		return 0, 0, wire.StatusError
 	}
-	eq := s.keyEq(table, key)
-	packed, ok := s.ht.Lookup(keyHash, eq)
+	_, oldRef, ok := s.log.Lookup(s.ht, table, keyHash, key)
 	if !ok {
 		s.logMu.Unlock()
 		return 0, 0, wire.StatusUnknownKey
 	}
-	oldRef := logstore.UnpackRef(packed)
 	s.nextVersion++
 	tomb := logstore.Entry{
 		Type:          logstore.EntryTombstone,

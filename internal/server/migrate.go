@@ -122,8 +122,8 @@ func (s *Server) collectRange(p *sim.Proc, table, first, last uint64) ([]wire.Ob
 				continue
 			}
 			ref := logstore.Ref{Segment: id, Index: i}
-			cur, found := s.ht.Lookup(e.KeyHash, s.keyEq(e.Table, e.Key))
-			if !found || logstore.UnpackRef(cur) != ref {
+			_, cur, found := s.log.Lookup(s.ht, e.Table, e.KeyHash, e.Key)
+			if !found || cur != ref {
 				continue
 			}
 			objs = append(objs, entryToObject(e))
@@ -156,7 +156,7 @@ func (s *Server) dropRange(p *sim.Proc, table, first, last uint64, moved []wire.
 	s.tablets = out
 	for i := range moved {
 		o := &moved[i]
-		if old, ok := s.ht.Delete(o.KeyHash, s.keyEq(o.Table, o.Key)); ok {
+		if old, ok := s.ht.Delete(o.KeyHash, s.log.KeyEq(o.Table, o.Key)); ok {
 			_ = s.log.MarkDead(logstore.UnpackRef(old))
 		}
 	}

@@ -118,11 +118,8 @@ func (s *Server) replayObject(p *sim.Proc, obj *wire.Object) (uint64, bool) {
 
 	// Staleness check: replay may deliver older versions after newer ones
 	// when segments interleave; never regress.
-	eq := s.keyEq(obj.Table, obj.Key)
-	if packed, found := s.ht.Lookup(obj.KeyHash, eq); found {
-		if cur, err := s.log.Get(logstore.UnpackRef(packed)); err == nil && cur.Version >= obj.Version {
-			return 0, false
-		}
+	if cur, _, found := s.log.Lookup(s.ht, obj.Table, obj.KeyHash, obj.Key); found && cur.Version >= obj.Version {
+		return 0, false
 	}
 
 	_, seg, appended := s.appendLocked(p, entry, obj.Version, false)

@@ -121,7 +121,7 @@ func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.D
 		coordinator:    coordinator,
 		deadPeers:      make(map[simnet.NodeID]bool),
 		log:            logstore.NewLog(cfg.Log),
-		ht:             hashtable.New(1 << 16),
+		ht:             hashtable.New(0),
 		logMu:          sim.NewMutex(e),
 		replicas:       make(map[uint64][]simnet.NodeID),
 		openReplicas:   make(map[replicaKey]*replica),

@@ -75,21 +75,32 @@ func ByName(name string, records, size int) (Workload, error) {
 	}
 }
 
+// KeyLen is the length of the key of every record index from 0 through
+// 9,999,999,999: "user" and ten digits.
+const KeyLen = 14
+
 // Key renders the YCSB-style key for a record index: "user" followed by
-// the index zero-padded to ten digits, exactly as fmt's "user%010d". Bulk
-// load and every simulated request build a key, so the common case is
-// formatted by hand into one 14-byte allocation; negative indices and
-// indices wider than ten digits take the fmt form.
-func Key(i int) []byte {
+// the index zero-padded to ten digits, exactly as fmt's "user%010d". It is
+// AppendKey(nil, i).
+func Key(i int) []byte { return AppendKey(nil, i) }
+
+// AppendKey appends Key(i) to dst and returns the extended slice; the
+// bytes already in dst are left as they are. Bulk load and every simulated
+// request build a key, so the common case is formatted by hand, and a
+// caller that appends many keys to one presized slab pays one allocation
+// for all of them. Negative indices and indices wider than ten digits take
+// the fmt form.
+func AppendKey(dst []byte, i int) []byte {
 	if i < 0 || uint64(i) > 9_999_999_999 {
-		return []byte(fmt.Sprintf("user%010d", i))
+		return fmt.Appendf(dst, "user%010d", i)
 	}
-	b := []byte("user0000000000")
-	for j := len(b) - 1; i > 0; j-- {
-		b[j] = byte('0' + i%10)
+	n := len(dst)
+	dst = append(dst, "user0000000000"...)
+	for j := n + KeyLen - 1; i > 0; j-- {
+		dst[j] = byte('0' + i%10)
 		i /= 10
 	}
-	return b
+	return dst
 }
 
 // chooser picks record indices.

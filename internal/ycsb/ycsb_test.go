@@ -416,3 +416,45 @@ func TestKeyMatchesSprintf(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendKey checks AppendKey against Key at the width edges, for
+// negative and eleven-digit indices, and that it never writes over the
+// bytes already in dst, even when dst has spare capacity.
+func TestAppendKey(t *testing.T) {
+	idx := []int{0, 7, 9_999_999_999, 10_000_000_000, 12_345_678_901, -1, -9_999_999_999}
+	for _, i := range idx {
+		for _, prefix := range []string{"", "x", "user0000000001"} {
+			dst := make([]byte, len(prefix), len(prefix)+32)
+			copy(dst, prefix)
+			got := AppendKey(dst, i)
+			if want := prefix + string(Key(i)); string(got) != want {
+				t.Errorf("AppendKey(%q, %d) = %q, want %q", prefix, i, got, want)
+			}
+			if string(dst) != prefix {
+				t.Errorf("AppendKey(%q, %d) overwrote dst: %q", prefix, i, dst)
+			}
+		}
+		if got := AppendKey(nil, i); string(got) != string(Key(i)) {
+			t.Errorf("AppendKey(nil, %d) = %q, want %q", i, got, Key(i))
+		}
+		if i >= 0 && i <= 9_999_999_999 && len(Key(i)) != KeyLen {
+			t.Errorf("len(Key(%d)) = %d, want KeyLen %d", i, len(Key(i)), KeyLen)
+		}
+	}
+	// Keys appended one after another to a presized slab stay intact.
+	slab := make([]byte, 0, 3*KeyLen)
+	var keys [][]byte
+	for i := range 3 {
+		n := len(slab)
+		slab = AppendKey(slab, i*1000)
+		keys = append(keys, slab[n:])
+	}
+	for i, k := range keys {
+		if string(k) != string(Key(i*1000)) {
+			t.Errorf("slab key %d = %q, want %q", i, k, Key(i*1000))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { slab = AppendKey(slab[:0], 42) }); allocs != 0 {
+		t.Errorf("AppendKey into spare capacity allocated %v times", allocs)
+	}
+}

@@ -34,10 +34,10 @@ trap 'rm -f "$RAW"' EXIT
 
 note "micro-benchmarks: public API (count=$COUNT)"
 go test -run xxx -bench 'BenchmarkPublicAPI' -benchmem -count "$COUNT" . >>"$RAW"
-note "micro-benchmarks: sim, wire, hashtable, transport, realnode (count=$COUNT)"
+note "micro-benchmarks: sim, wire, hashtable, transport, realnode, core (count=$COUNT)"
 go test -run xxx -bench . -benchmem -count "$COUNT" \
   ./internal/sim ./internal/wire ./internal/hashtable ./internal/transport \
-  ./internal/realnode >>"$RAW"
+  ./internal/realnode ./internal/core >>"$RAW"
 
 # Fold the raw `go test -bench` lines into {name: {ns_op, b_op, allocs_op,
 # raw_ns[]}} with per-benchmark medians. Benchmark names keep their
